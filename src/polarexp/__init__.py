@@ -17,7 +17,6 @@ from .matcore import (
     log_multigamma,
     log_polar_jacobian,
     polar_decompose,
-    sym_sqrt,
     thin_svd,
 )
 
@@ -41,7 +40,6 @@ __all__ = [
     "log_multigamma",
     "log_polar_jacobian",
     "polar_decompose",
-    "sym_sqrt",
     "thin_svd",
     "__version__",
 ]

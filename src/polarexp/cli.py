@@ -16,14 +16,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, checks
-from .diagnostics import summarize
+from . import __version__
+from .diagnostics import MIN_DRAWS, SummaryRow, summarize
 from .distributions import MacgParams, sample_macg, sample_uniform_stiefel
 from .hmc import ChainInitializationError, HmcConfig, run_chains
 from .matcore import SpdMatrix, polar_decompose, thin_svd
@@ -56,6 +58,19 @@ def _write_csv(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(c if isinstance(c, str) else _fmt(c) for c in row) + "\n")
+
+
+def _write_summary(path, draws, names):
+    """summary.csv: one `summarize` row per parameter of draws (chains, iterations, names)."""
+    _write_csv(path, [f.name for f in fields(SummaryRow)],
+               [astuple(r) for r in summarize(draws, names)])
+
+
+def _write_chain_table(path, names, draws):
+    """(iteration, chain, values...) rows from draws shaped (chains, iterations, names)."""
+    n_chains, n_iter = draws.shape[:2]
+    rows = [[str(it), str(ci), *draws[ci, it]] for ci in range(n_chains) for it in range(n_iter)]
+    _write_csv(path, ["iteration", "chain", *names], rows)
 
 
 def _load_config_file(path):
@@ -93,7 +108,10 @@ def _merge_config(args, defaults):
         for key, val in file_vals.items():
             if key not in merged:
                 raise IngestionError(f"unknown config key: {key}")
-            merged[key] = _HMC_OPTION_TYPES.get(key, str)(val)
+            try:
+                merged[key] = _HMC_OPTION_TYPES.get(key, str)(val)
+            except ValueError:
+                raise IngestionError(f"bad value for config key {key}: {val!r}") from None
     for key in merged:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -102,13 +120,27 @@ def _merge_config(args, defaults):
 
 
 def _hmc_config(merged) -> HmcConfig:
-    return HmcConfig(
-        chains=merged["chains"],
-        warmup=merged["warmup"],
-        samples=merged["samples"],
-        target_accept=merged["target_accept"],
-        seed=merged["seed"],
-    )
+    """Sampler settings from the merged options; every bad value is an input error."""
+    try:
+        config = HmcConfig(
+            chains=merged["chains"],
+            warmup=merged["warmup"],
+            samples=merged["samples"],
+            target_accept=merged["target_accept"],
+            seed=merged["seed"],
+        )
+    except ValueError as exc:
+        raise IngestionError(str(exc)) from None
+    # the ESS and R-hat summaries need this many draws; fail now, not after sampling
+    if config.samples < MIN_DRAWS:
+        raise IngestionError(f"need at least {MIN_DRAWS} samples, got {config.samples}")
+    threads = os.environ.get("POLAR_THREADS")
+    if threads is not None:
+        try:
+            int(threads)
+        except ValueError:
+            raise IngestionError(f"POLAR_THREADS must be an integer, got {threads!r}") from None
+    return config
 
 
 def _write_meta(out_dir, merged, config, outputs, wall_time, extra=None):
@@ -175,22 +207,11 @@ def _read_numeric_csv(path):
 
 def _load_adjacency(path) -> EigenmodelData:
     mat, _ = _read_numeric_csv(path)
-    p, q = mat.shape
-    if p != q:
-        raise IngestionError(f"{path}: adjacency must be square, got {p} x {q}")
-    for i in range(p):
-        for j in range(i + 1, p):
-            if mat[i, j] != mat[j, i]:
-                raise IngestionError(
-                    f"{path}: asymmetric at cell ({i + 1}, {j + 1}): "
-                    f"{mat[i, j]:g} vs {mat[j, i]:g}"
-                )
-            if mat[i, j] not in (0.0, 1.0):
-                raise IngestionError(
-                    f"{path}: non-binary cell ({i + 1}, {j + 1}): {mat[i, j]:g}"
-                )
     np.fill_diagonal(mat, 0.0)
-    return EigenmodelData(y=mat)
+    try:
+        return EigenmodelData(y=mat)
+    except ValueError as exc:
+        raise IngestionError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------- demo
@@ -252,10 +273,12 @@ def cmd_eigenmodel(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     merged = _merge_config(args, _EIGEN_DEFAULTS)
+    config = _hmc_config(merged)
     data = _load_adjacency(args.adjacency)
     p, k = data.p, merged["k"]
+    if not 1 <= k <= p:
+        raise IngestionError(f"need 1 <= k <= {p} on a {p}-node graph, got k = {k}")
     target = eigenmodel_target(data, k=k)
-    config = _hmc_config(merged)
     inits = eigenmodel_initial_points(data, k, config.chains, config.seed)
     t0 = time.perf_counter()
     outputs = run_chains(target, config, init=inits)
@@ -284,29 +307,10 @@ def cmd_eigenmodel(args) -> int:
     )
     lam_aligned = lam_aligned.reshape(n_chains, n_iter, k)
 
-    trace_rows = []
-    for ci in range(n_chains):
-        for it in range(n_iter):
-            trace_rows.append([it, ci, *lam_aligned[ci, it]])
-    _write_csv(
-        out / "lambda_trace.csv",
-        ["iteration", "chain", *[f"lambda_{j + 1}" for j in range(k)]],
-        [[str(r[0]), str(r[1]), *r[2:]] for r in trace_rows],
-    )
-
-    stacked = np.concatenate(
-        [c_draws[:, :, None], lam_aligned], axis=2
-    )
-    names = ["c", *[f"lambda_{j + 1}" for j in range(k)]]
-    rows = summarize(stacked, names)
-    _write_csv(
-        out / "summary.csv",
-        ["name", "mean", "sd", "q5", "q50", "q95", "ess", "ess_per_iter", "rhat"],
-        [
-            [r.name, r.mean, r.sd, r.q5, r.q50, r.q95, r.ess, r.ess_per_iter, r.rhat]
-            for r in rows
-        ],
-    )
+    lam_names = [f"lambda_{j + 1}" for j in range(k)]
+    _write_chain_table(out / "lambda_trace.csv", lam_names, lam_aligned)
+    stacked = np.concatenate([c_draws[:, :, None], lam_aligned], axis=2)
+    _write_summary(out / "summary.csv", stacked, ["c", *lam_names])
     _write_csv(out / "qlq_mean.csv", [f"node_{j + 1}" for j in range(p)], qlq_mean)
     _write_meta(out, merged, config, outputs, wall)
     return 0
@@ -331,10 +335,11 @@ def cmd_fpca(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     merged = _merge_config(args, _FPCA_DEFAULTS)
+    config = _hmc_config(merged)
     y_raw_full, _labels = _read_numeric_csv(args.data)
     n, p_full = y_raw_full.shape
     stride = merged["stride"]
-    if p_full % stride != 0:
+    if stride < 1 or p_full % stride != 0:
         raise IngestionError(
             f"stride {stride} does not divide the {p_full}-column grid"
         )
@@ -342,11 +347,12 @@ def cmd_fpca(args) -> int:
     grid = np.arange(1.0, p_full + 1.0)[::stride]
     p = y_raw.shape[1]
     k = merged["k"]
+    if not 1 <= k < min(n, p):
+        raise IngestionError(f"need 1 <= k < min(n, p) = {min(n, p)}, got k = {k}")
 
     data = center_data(y_raw, grid=grid)
     hyper = fpca_empirical_bayes(data.y, k)
     target = fpca_target(data, hyper)
-    config = _hmc_config(merged)
     inits = fpca_initial_points(data, hyper, config.chains, config.seed)
     t0 = time.perf_counter()
     outputs = run_chains(target, config, init=inits)
@@ -388,22 +394,10 @@ def cmd_fpca(args) -> int:
     # align the per-iteration d draws for summaries (signs irrelevant for d)
     d_mean = d_al.mean(axis=0)
 
-    _write_csv(
-        out / "v_estimate.csv",
-        ["day", *[f"pc_{j + 1}" for j in range(k)]],
-        np.column_stack([grid, v_hat]),
-    )
-    _write_csv(
-        out / "v_classical.csv",
-        ["day", *[f"pc_{j + 1}" for j in range(k)]],
-        np.column_stack([grid, v_classical]),
-    )
-
-    rho_rows = []
-    for ci in range(n_chains):
-        for it in range(n_iter):
-            rho_rows.append([str(it), str(ci), scalar_draws[ci, it, -1]])
-    _write_csv(out / "rho_draws.csv", ["iteration", "chain", "rho"], rho_rows)
+    for name, v in (("v_estimate.csv", v_hat), ("v_classical.csv", v_classical)):
+        _write_csv(out / name, ["day", *[f"pc_{j + 1}" for j in range(k)]],
+                   np.column_stack([grid, v]))
+    _write_chain_table(out / "rho_draws.csv", ["rho"], scalar_draws[:, :, -1:])
 
     pc_idx = min(3, k) - 1  # third principal component when available
     v3_rows = []
@@ -427,31 +421,15 @@ def cmd_fpca(args) -> int:
     _write_csv(out / "pc_effect.csv", effect_names, np.column_stack(effect_cols))
 
     names = [f"d_{j + 1}" for j in range(k)] + ["sigma2", "phi", "rho"]
-    rows = summarize(scalar_draws, names)
-    _write_csv(
-        out / "summary.csv",
-        ["name", "mean", "sd", "q5", "q50", "q95", "ess", "ess_per_iter", "rhat"],
-        [
-            [r.name, r.mean, r.sd, r.q5, r.q50, r.q95, r.ess, r.ess_per_iter, r.rhat]
-            for r in rows
-        ],
-    )
+    _write_summary(out / "summary.csv", scalar_draws, names)
     _write_meta(
         out,
-        {kk: vv for kk, vv in merged.items()},
+        merged,
         config,
         outputs,
         wall,
         extra={
-            "hyper": {
-                "k": hyper.k,
-                "nu": hyper.nu,
-                "s2": hyper.s2,
-                "tau2": hyper.tau2,
-                "alpha": hyper.alpha,
-                "beta": hyper.beta,
-                "nugget": hyper.nugget,
-            },
+            "hyper": asdict(hyper),
             "stride": stride,
             "pc_multiples": [float(m) for m in multiples],
         },
@@ -464,6 +442,9 @@ def cmd_fpca(args) -> int:
 
 def cmd_check(args) -> int:
     out = Path(args.out)
+    # imported here: the checks pull in scipy.integrate, which no other command needs
+    from . import checks
+
     out.mkdir(parents=True, exist_ok=True)
     report = checks.run_all_checks()
     with open(out / "check_report.json", "w") as fh:

@@ -7,6 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Fewest draws per chain that ess and split_rhat accept.
+MIN_DRAWS = 100
+
 
 @dataclass(frozen=True)
 class SummaryRow:
@@ -40,38 +43,33 @@ def ess(series) -> float:
     """
     x = np.asarray(series, dtype=float).ravel()
     n = x.size
-    if n < 100:
-        raise ValueError(f"need at least 100 draws, got {n}")
+    if n < MIN_DRAWS:
+        raise ValueError(f"need at least {MIN_DRAWS} draws, got {n}")
     gamma = _autocov(x)
     if gamma[0] <= 0 or not np.isfinite(gamma[0]):
         warnings.warn("constant or degenerate series: ESS set to 0", stacklevel=2)
         return 0.0
-    m_max = (n - 1) // 2
-    pair = gamma[0 : 2 * m_max : 2] + gamma[1 : 2 * m_max : 2]
-    # initial positive sequence
-    neg = np.nonzero(pair <= 0)[0]
-    cut = neg[0] if neg.size else pair.size
-    pair = pair[:cut]
+    _, pair = _geyer_truncation(gamma)
     if pair.size == 0:
         return float(n)
-    # monotone nonincreasing envelope
-    pair = np.minimum.accumulate(pair)
     var = -gamma[0] + 2.0 * float(np.sum(pair))
     if var <= 0:
         return float(n)
     return float(min(n * gamma[0] / var, n * 1.05))
 
 
-def _geyer_truncation(series):
-    """Truncation lag (even) and the monotone pair sums; used by property tests."""
-    x = np.asarray(series, dtype=float).ravel()
-    gamma = _autocov(x)
-    m_max = (x.size - 1) // 2
+def _geyer_truncation(gamma):
+    """Geyer's initial monotone sequence from the autocovariances gamma.
+
+    Sums gamma over (even, odd) lag pairs, truncates at the first nonpositive
+    pair sum (initial positive sequence) and forces the kept sums
+    nonincreasing. Returns (truncation lag, which is even; the pair sums).
+    """
+    m_max = (gamma.size - 1) // 2
     pair = gamma[0 : 2 * m_max : 2] + gamma[1 : 2 * m_max : 2]
     neg = np.nonzero(pair <= 0)[0]
     cut = neg[0] if neg.size else pair.size
-    pair = np.minimum.accumulate(pair[:cut])
-    return 2 * cut, pair
+    return 2 * cut, np.minimum.accumulate(pair[:cut])
 
 
 def split_rhat(chains) -> float:
@@ -83,8 +81,8 @@ def split_rhat(chains) -> float:
     if len(lengths) != 1:
         raise ValueError(f"chains have unequal lengths: {sorted(lengths)}")
     n_full = arrs[0].size
-    if n_full < 100:
-        raise ValueError("need chains of length >= 100")
+    if n_full < MIN_DRAWS:
+        raise ValueError(f"need chains of length >= {MIN_DRAWS}")
     half = n_full // 2
     halves = []
     for a in arrs:
@@ -135,16 +133,3 @@ def summarize(chain_draws, names) -> list[SummaryRow]:
             )
         )
     return rows
-
-
-def write_trace_csv(path, chain_draws, names, thin: int = 1):
-    """Tidy thinned trace export: iteration, chain, parameter, value."""
-    draws = np.asarray(chain_draws, dtype=float)
-    if draws.ndim == 2:
-        draws = draws[None, :, :]
-    with open(path, "w") as fh:
-        fh.write("iteration,chain,parameter,value\n")
-        for c in range(draws.shape[0]):
-            for it in range(0, draws.shape[1], thin):
-                for j, name in enumerate(names):
-                    fh.write(f"{it},{c},{name},{draws[c, it, j]:.17g}\n")

@@ -117,26 +117,33 @@ def se_kernel(params: SeKernelParams) -> SpdMatrix:
         ) from exc
 
 
-def ar1_loglik(row, params: Ar1Params) -> float:
-    """Gaussian log density of row(s) under covariance sigma2 * Omega(phi).
+def ar1_loglik_grad(r, phi, sig2):
+    """Gaussian log density of the rows of r under covariance sig2 * Omega(phi), with gradients.
 
-    Uses the Markov factorization, O(p) per row: x_1 ~ N(0, sigma2),
-    x_t | x_{t-1} ~ N(phi x_{t-1}, sigma2 (1 - phi^2)). Accepts a single
-    vector or a 2-D array whose rows are independent series (summed).
+    Uses the Markov factorization, O(p) per row: x_1 ~ N(0, sig2),
+    x_t | x_{t-1} ~ N(phi x_{t-1}, sig2 (1 - phi^2)). The rows of the 2-D
+    array r are independent series (summed).
+    Returns (ll, d ll/d r, d ll/d sig2, d ll/d phi).
     """
-    x = np.atleast_2d(np.asarray(row, dtype=float))
-    n, p = x.shape
-    phi, sigma2 = params.phi, params.sigma2
-    ll = -0.5 * n * (LOG_2PI + np.log(sigma2)) - float(np.sum(x[:, 0] ** 2)) / (
-        2.0 * sigma2
-    )
+    n, p = r.shape
+    s1 = float(np.sum(r[:, 0] ** 2))
+    ll = -0.5 * n * (LOG_2PI + np.log(sig2)) - s1 / (2.0 * sig2)
+    g = np.zeros_like(r)
+    g[:, 0] = -r[:, 0] / sig2
+    d_sig2 = -n / (2.0 * sig2) + s1 / (2.0 * sig2 * sig2)
+    d_phi = 0.0
     if p > 1:
-        v = sigma2 * (1.0 - phi**2)
-        e = x[:, 1:] - phi * x[:, :-1]
-        ll += -0.5 * n * (p - 1) * (LOG_2PI + np.log(v)) - float(np.sum(e**2)) / (
-            2.0 * v
-        )
-    return ll
+        omphi2 = 1.0 - phi * phi
+        v = sig2 * omphi2
+        e = r[:, 1:] - phi * r[:, :-1]
+        se = float(np.sum(e * e))
+        sc = float(np.sum(e * r[:, :-1]))
+        ll += -0.5 * n * (p - 1) * (LOG_2PI + np.log(v)) - se / (2.0 * v)
+        g[:, :-1] += phi * e / v
+        g[:, 1:] += -e / v
+        d_sig2 += -n * (p - 1) / (2.0 * sig2) + se / (2.0 * sig2 * sig2 * omphi2)
+        d_phi = n * (p - 1) * phi / omphi2 + sc / v - phi * sig2 * se / (v * v)
+    return ll, g, d_sig2, d_phi
 
 
 def sample_ar1(n: int, p: int, params: Ar1Params, rng: np.random.Generator) -> np.ndarray:

@@ -18,10 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import LOG_2PI, log_matrix_normal
-from .matcore import DegenerateMatrixError, SpdMatrix, thin_svd
-
-# Floor on the Sylvester denominators d_i + d_j, relative to d_1.
-VJP_DENOM_TOL = 1e-10
+from .matcore import SpdMatrix, polar_decompose
 
 
 @dataclass(frozen=True)
@@ -57,36 +54,9 @@ class UnconstrainedTarget:
         return self.value_and_grad(x)[1]
 
 
-def _vjp_from_svd(u, d, v, g):
-    """VJP of f(Q_X) given the thin SVD of X and the cotangent g = df/dQ.
-
-    With ghat = u^T g v, the tangent action on the singular-vector pair is the
-    antisymmetric system h_ij = (ghat_ij - ghat_ji) / (d_i + d_j); for p > k
-    the orthogonal complement contributes (I - uu^T) g v d^{-1} v^T.
-    """
-    denom = d[:, None] + d[None, :]
-    if denom.min() <= VJP_DENOM_TOL * max(d[0], 1e-300):
-        raise DegenerateMatrixError(
-            f"clustered singular values near zero: min(d_i + d_j) = {denom.min():.3e}"
-        )
-    ghat = u.T @ g @ v
-    h = (ghat - ghat.T) / denom
-    comp = g - u @ ghat @ v.T  # (I - uu^T) g, written without forming uu^T
-    return u @ h @ v.T + comp @ (v / d) @ v.T
-
-
 def polar_vjp(x, g) -> np.ndarray:
     """Gradient w.r.t. X of f(Q_X), given g = df/dQ evaluated at Q_X."""
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(g, dtype=float)
-    u, d, v = thin_svd(x)
-    return _vjp_from_svd(u, d, v, g)
-
-
-def _polar_from_svd(u, d, v):
-    if d[0] == 0.0 or d[-1] < 1e-12 * d[0]:
-        raise DegenerateMatrixError("rank-deficient state in expanded target")
-    return u @ v.T
+    return polar_decompose(x).vjp(np.asarray(g, dtype=float))
 
 
 def expand_general(target: StiefelTarget) -> UnconstrainedTarget:
@@ -100,11 +70,10 @@ def expand_general(target: StiefelTarget) -> UnconstrainedTarget:
 
     def value_and_grad(x):
         mat = np.asarray(x, dtype=float).reshape(p, k)
-        u, d, v = thin_svd(mat)
-        q = _polar_from_svd(u, d, v)
-        f, gq = target.value_and_grad(q)
+        polar = polar_decompose(mat)
+        f, gq = target.value_and_grad(polar.q)
         val = const - 0.5 * float(np.sum(mat * mat)) + f
-        grad = -mat + _vjp_from_svd(u, d, v, gq)
+        grad = -mat + polar.vjp(gq)
         return val, grad.ravel()
 
     return UnconstrainedTarget(dim=p * k, value_and_grad=value_and_grad)
@@ -126,12 +95,11 @@ def expand_macg_posterior(
 
     def value_and_grad(x):
         mat = np.asarray(x, dtype=float).reshape(p, k)
-        u, d, v = thin_svd(mat)
-        q = _polar_from_svd(u, d, v)
-        f, gq = loglik(q)
+        polar = polar_decompose(mat)
+        f, gq = loglik(polar.q)
         sol = sigma.solve(mat)
         val = f + log_matrix_normal(mat, sigma)
-        grad = -sol + _vjp_from_svd(u, d, v, gq)
+        grad = -sol + polar.vjp(gq)
         return val, grad.ravel()
 
     return UnconstrainedTarget(dim=p * k, value_and_grad=value_and_grad)

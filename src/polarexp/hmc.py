@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class HmcConfig:
     target_accept: float = 0.8
     init_step_size: float = 0.1
     max_leapfrog: int = 32
-    jitter_steps: bool = True
     max_energy_error: float = 1000.0
     seed: int = 0
 
@@ -87,55 +86,37 @@ class _DualAveraging:
         return float(np.exp(self.log_eps_bar))
 
 
-def leapfrog(target: UnconstrainedTarget, position, momentum, step, steps, mass_diag=None):
-    """Run `steps` leapfrog steps; returns (q, m, energy_error).
+def leapfrog(target: UnconstrainedTarget, position, momentum, grad, step, steps, mass):
+    """Run `steps` >= 1 leapfrog steps from a state whose gradient is `grad`.
 
-    Kinetic energy is (1/2) m^T M^{-1} m with diagonal M. Raises the target's
-    degenerate-state errors through to the caller; non-finite states surface
-    as an infinite energy error.
+    Kinetic energy is (1/2) m^T M^{-1} m with diagonal M = `mass`. Returns
+    (q, m, val, grad) at the end of the trajectory, or None when the target
+    turns non-finite or raises one of its degenerate-state errors on the way:
+    the trajectory has diverged.
     """
-    q = np.array(position, dtype=float)
-    m = np.array(momentum, dtype=float)
-    mass = np.ones_like(q) if mass_diag is None else np.asarray(mass_diag, dtype=float)
-    val0, grad = target.value_and_grad(q)
-    h0 = -val0 + 0.5 * float(np.sum(m * m / mass))
-    m = m + 0.5 * step * grad
-    for i in range(steps):
-        q = q + step * m / mass
-        val, grad = target.value_and_grad(q)
-        if i < steps - 1:
-            m = m + step * grad
-    m = m + 0.5 * step * grad
-    h1 = -val + 0.5 * float(np.sum(m * m / mass))
-    if not np.isfinite(h1):
-        return q, m, np.inf
-    return q, m, h1 - h0
+    q = position
+    m = momentum + 0.5 * step * grad
+    try:
+        for i in range(steps):
+            q = q + step * m / mass
+            val, grad = target.value_and_grad(q)
+            if not np.isfinite(val) or not np.all(np.isfinite(grad)):
+                return None
+            if i < steps - 1:
+                m = m + step * grad
+    except _RECOVERABLE:
+        return None
+    return q, m + 0.5 * step * grad, val, grad
 
 
 def _transition(target, q, val, grad, eps, n_steps, mass, rng, max_energy_error):
     """One HMC transition; returns (q, val, grad, accept_prob, accepted, diverged)."""
     m0 = np.sqrt(mass) * rng.standard_normal(q.size)
     h0 = -val + 0.5 * float(np.sum(m0 * m0 / mass))
-    q_new, val_new, grad_new = q, val, grad
-    m = m0 + 0.5 * eps * grad
-    diverged = False
-    try:
-        qq = q
-        for i in range(n_steps):
-            qq = qq + eps * m / mass
-            v, g = target.value_and_grad(qq)
-            if not np.isfinite(v) or not np.all(np.isfinite(g)):
-                diverged = True
-                break
-            if i < n_steps - 1:
-                m = m + eps * g
-        if not diverged:
-            m = m + 0.5 * eps * g
-            q_new, val_new, grad_new = qq, v, g
-    except _RECOVERABLE:
-        diverged = True
-    if diverged:
+    end = leapfrog(target, q, m0, grad, eps, n_steps, mass)
+    if end is None:
         return q, val, grad, 0.0, False, True
+    q_new, m, val_new, grad_new = end
     h1 = -val_new + 0.5 * float(np.sum(m * m / mass))
     delta = h1 - h0
     if not np.isfinite(delta) or delta > max_energy_error:
@@ -196,9 +177,7 @@ def _run_single_chain(target, config, chain_idx, init):
     any_accept = False
 
     def draw_steps():
-        if config.jitter_steps:
-            return int(rng.integers(1, config.max_leapfrog + 1))
-        return config.max_leapfrog
+        return int(rng.integers(1, config.max_leapfrog + 1))
 
     for it in range(config.warmup):
         eps = da.eps

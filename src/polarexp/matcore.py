@@ -7,7 +7,7 @@ which caches its Cholesky factor at construction and is immutable afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -19,6 +19,8 @@ ORTH_TOL = 1e-10
 RANK_TOL = 1e-12
 # Relative symmetry tolerance for SPD construction.
 SYM_TOL = 1e-12
+# Floor on the Sylvester denominators d_i + d_j of the polar pullback, relative to d_1.
+VJP_DENOM_TOL = 1e-10
 
 
 class DegenerateMatrixError(ValueError):
@@ -77,17 +79,33 @@ class SpdMatrix:
         """S^{-1} b via the cached factor."""
         return sla.cho_solve((self.chol, True), np.asarray(b, dtype=float))
 
-    def inv(self):
-        """Dense inverse (used for small k; prefer solve())."""
-        return self.solve(np.eye(self.dim))
-
 
 @dataclass(frozen=True)
 class PolarPair:
-    """Polar decomposition X = Q S^{1/2}: orthonormal factor plus Gram matrix."""
+    """Polar factor q = u v^T of X together with the thin SVD X = u diag(d) v^T."""
 
     q: np.ndarray
-    s: SpdMatrix
+    u: np.ndarray
+    d: np.ndarray
+    v: np.ndarray
+
+    def vjp(self, g) -> np.ndarray:
+        """Gradient w.r.t. X of f(Q_X), given the cotangent g = df/dQ at Q_X.
+
+        With ghat = u^T g v, the tangent action on the singular-vector pair is
+        the antisymmetric system h_ij = (ghat_ij - ghat_ji) / (d_i + d_j); for
+        p > k the orthogonal complement contributes (I - uu^T) g v d^{-1} v^T.
+        """
+        u, d, v = self.u, self.d, self.v
+        denom = d[:, None] + d[None, :]
+        if denom.min() <= VJP_DENOM_TOL * max(d[0], 1e-300):
+            raise DegenerateMatrixError(
+                f"clustered singular values near zero: min(d_i + d_j) = {denom.min():.3e}"
+            )
+        ghat = u.T @ g @ v
+        h = (ghat - ghat.T) / denom
+        comp = g - u @ ghat @ v.T  # (I - uu^T) g, written without forming uu^T
+        return u @ h @ v.T + comp @ (v / d) @ v.T
 
 
 def check_stiefel(q, tol: float = ORTH_TOL) -> np.ndarray:
@@ -125,32 +143,41 @@ def polar_decompose(x) -> PolarPair:
     """Polar decomposition of a full-rank p x k matrix.
 
     Computed through the thin SVD x = u diag(d) v^T: the orthonormal factor
-    is q = u v^T (the Frobenius-nearest matrix with orthonormal columns)
-    and the Gram factor is s = x^T x.
+    is q = u v^T (the Frobenius-nearest matrix with orthonormal columns).
+    The SVD is kept for the pullback PolarPair.vjp.
 
     Raises DegenerateMatrixError when d_k < RANK_TOL * d_1.
     """
-    x = np.asarray(x, dtype=float)
     u, d, v = thin_svd(x)
     if d[0] == 0.0 or d[-1] < RANK_TOL * d[0]:
         ratio = d[-1] / d[0] if d[0] > 0 else 0.0
         raise DegenerateMatrixError(
             f"rank-deficient input: d_k/d_1 = {ratio:.3e} < {RANK_TOL:.0e}"
         )
-    q = u @ v.T
-    s = SpdMatrix(x.T @ x)
-    return PolarPair(q=q, s=s)
+    return PolarPair(q=u @ v.T, u=u, d=d, v=v)
 
 
-def sym_sqrt(s: SpdMatrix, inverse: bool = False) -> SpdMatrix:
-    """Symmetric square root of s (or of s^{-1} when inverse=True)."""
-    w, vec = sla.eigh(s.mat)
-    if w[0] < 1e-14 * w[-1]:
-        raise IllConditionedError(
-            f"eigenvalue {w[0]:.3e} below conditioning floor relative to {w[-1]:.3e}"
-        )
-    root = 1.0 / np.sqrt(w) if inverse else np.sqrt(w)
-    return SpdMatrix((vec * root) @ vec.T)
+def match_columns(ref, mats, order):
+    """Greedy sign/permutation matching of the columns of each matrix to ref.
+
+    For each of the t matrices in mats (t x p x k), the reference columns are
+    visited in `order`; each takes the unmatched column with the largest
+    |inner product| and the sign of that inner product. Returns (perm, sign),
+    both t x k: column j of aligned matrix i is sign[i, j] * mats[i][:, perm[i, j]].
+    """
+    t, _, k = mats.shape
+    perm = np.empty((t, k), dtype=int)
+    sign = np.empty((t, k))
+    for i in range(t):
+        used = np.zeros(k, dtype=bool)
+        for j in order:
+            dots = ref[:, j] @ mats[i]
+            dots = np.where(used, 0.0, dots)
+            m = int(np.argmax(np.abs(dots)))
+            perm[i, j] = m
+            sign[i, j] = 1.0 if dots[m] >= 0 else -1.0
+            used[m] = True
+    return perm, sign
 
 
 def log_multigamma(k: int, a: float) -> float:

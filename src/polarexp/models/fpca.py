@@ -21,22 +21,22 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.special import gammaln
 
 from ..distributions import (
+    LOG_2PI,
     Ar1Params,
     MacgParams,
     SeKernelParams,
+    ar1_loglik_grad,
     sample_ar1,
     sample_macg,
     sample_uniform_stiefel,
     se_kernel,
 )
-from ..expansion import UnconstrainedTarget, _polar_from_svd, _vjp_from_svd
-from ..matcore import thin_svd
+from ..expansion import UnconstrainedTarget
+from ..matcore import match_columns, polar_decompose, thin_svd
 
-LOG_2PI = np.log(2.0 * np.pi)
 DEFAULT_RHO_MEAN = 365.0 / (4.0 * np.pi)
 DEFAULT_RHO_SD = 5.0
 
@@ -163,33 +163,6 @@ def pack_fpca_params(x_u, x_v, d, sigma2, phi, rho):
     )
 
 
-def _ar1_ll_grad(r, phi, sig2):
-    """AR(1) row log likelihood with gradients w.r.t. r, sigma2 and phi.
-
-    Markov factorization of N(0, sig2 * Omega(phi)) applied to each row of r.
-    Returns (ll, d ll/d r, d ll/d sig2, d ll/d phi).
-    """
-    n, p = r.shape
-    s1 = float(np.sum(r[:, 0] ** 2))
-    ll = -0.5 * n * (LOG_2PI + np.log(sig2)) - s1 / (2.0 * sig2)
-    g = np.zeros_like(r)
-    g[:, 0] = -r[:, 0] / sig2
-    d_sig2 = -n / (2.0 * sig2) + s1 / (2.0 * sig2 * sig2)
-    d_phi = 0.0
-    if p > 1:
-        omphi2 = 1.0 - phi * phi
-        v = sig2 * omphi2
-        e = r[:, 1:] - phi * r[:, :-1]
-        se = float(np.sum(e * e))
-        sc = float(np.sum(e * r[:, :-1]))
-        ll += -0.5 * n * (p - 1) * (LOG_2PI + np.log(v)) - se / (2.0 * v)
-        g[:, :-1] += phi * e / v
-        g[:, 1:] += -e / v
-        d_sig2 += -n * (p - 1) / (2.0 * sig2) + se / (2.0 * sig2 * sig2 * omphi2)
-        d_phi = n * (p - 1) * phi / omphi2 + sc / v - phi * sig2 * se / (v * v)
-    return ll, g, d_sig2, d_phi
-
-
 def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
     """Expanded log posterior over the flat FPCA parameter vector.
 
@@ -219,13 +192,12 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
         rho = float(np.exp(eta_rho))
         omphi2 = 1.0 - phi * phi
 
-        su = thin_svd(x_u)
-        sv = thin_svd(x_v)
-        u = _polar_from_svd(*su)
-        v = _polar_from_svd(*sv)
+        polar_u = polar_decompose(x_u)
+        polar_v = polar_decompose(x_v)
+        u, v = polar_u.q, polar_v.q
         r = y - (u * d_vec) @ v.T
 
-        ll, g_r, d_sig2, d_phi = _ar1_ll_grad(r, phi, sig2)
+        ll, g_r, d_sig2, d_phi = ar1_loglik_grad(r, phi, sig2)
 
         kern = se_kernel(SeKernelParams(grid=grid, rho=rho, nugget=nugget))
         kinv_xv = kern.solve(x_v)
@@ -255,8 +227,8 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
         g_u = g_m @ (v * d_vec)
         g_v = g_m.T @ (u * d_vec)
         g_d_ll = np.sum(u * (g_m @ v), axis=0)
-        g_xu = _vjp_from_svd(*su, g_u) - x_u
-        g_xv = _vjp_from_svd(*sv, g_v) - kinv_xv
+        g_xu = polar_u.vjp(g_u) - x_u
+        g_xv = polar_v.vjp(g_v) - kinv_xv
         g_eta_d = (g_d_ll - d_vec / tau2) * d_vec + 1.0
 
         d_sig2_total = d_sig2 - (a_sig + 1.0) / sig2 + b_sig / sig2**2
@@ -267,7 +239,7 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
 
         # dK/drho has entries K_ij * (t_i - t_j)^2 / rho^3 (nugget drops out)
         kprime = kern.mat * (sqdist / rho**3)
-        kinv = sla.cho_solve((kern.chol, True), np.eye(p))
+        kinv = kern.solve(np.eye(p))
         d_rho_mn = -0.5 * k * float(np.sum(kinv * kprime)) + 0.5 * float(
             np.sum((kinv_xv @ kinv_xv.T) * kprime)
         )
@@ -348,29 +320,15 @@ def align_fpca_draws(u_draws, d_draws, v_draws, reference=None):
     u_draws = np.asarray(u_draws, dtype=float)
     d_draws = np.asarray(d_draws, dtype=float)
     v_draws = np.asarray(v_draws, dtype=float)
-    t, _, k = v_draws.shape
     if reference is None:
         ref_v = v_draws[0]
         order = np.argsort(-np.abs(d_draws[0]))
     else:
         # an external reference (e.g. an SVD point estimate) is already sorted
         ref_v = np.asarray(reference, dtype=float)
-        order = np.arange(k)
-    u_out = np.empty_like(u_draws)
-    d_out = np.empty_like(d_draws)
-    v_out = np.empty_like(v_draws)
-    for i in range(t):
-        used = np.zeros(k, dtype=bool)
-        perm = np.empty(k, dtype=int)
-        sign = np.empty(k)
-        for j in order:
-            dots = ref_v[:, j] @ v_draws[i]
-            dots = np.where(used, 0.0, dots)
-            m = int(np.argmax(np.abs(dots)))
-            perm[j] = m
-            sign[j] = 1.0 if dots[m] >= 0 else -1.0
-            used[m] = True
-        v_out[i] = v_draws[i][:, perm] * sign
-        u_out[i] = u_draws[i][:, perm] * sign
-        d_out[i] = d_draws[i][perm]
-    return u_out, d_out, v_out
+        order = np.arange(v_draws.shape[2])
+    perm, sign = match_columns(ref_v, v_draws, order)
+    cols, flip = perm[:, None, :], sign[:, None, :]
+    u_out = np.take_along_axis(u_draws, cols, axis=2) * flip
+    v_out = np.take_along_axis(v_draws, cols, axis=2) * flip
+    return u_out, np.take_along_axis(d_draws, perm, axis=1), v_out

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from polarexp import cli
 from polarexp.cli import main
 from polarexp.models import simulate_eigenmodel, simulate_fpca
 
@@ -276,6 +277,48 @@ class TestFpcaCommand:
         s = np.linalg.svd(est.T @ ref, compute_uv=False)
         angle = np.degrees(np.arccos(np.clip(np.min(s), -1.0, 1.0)))
         assert angle <= 20.0
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "command, flags, config, threads",
+        [
+            ("eigenmodel", ["--samples", "50"], None, None),
+            ("eigenmodel", ["--samples", "0"], None, None),
+            ("eigenmodel", ["--chains", "0"], None, None),
+            ("eigenmodel", [], "chains = two\n", None),
+            ("eigenmodel", ["--k", "12"], None, None),
+            ("fpca", ["--k", "6"], None, None),
+            ("eigenmodel", [], None, "x"),
+        ],
+        ids=["few-samples", "zero-samples", "zero-chains", "config-type", "k-above-p",
+             "fpca-k-too-large", "polar-threads"],
+    )
+    def test_exit_1_before_sampling(
+        self, tmp_path, monkeypatch, capsys, command, flags, config, threads
+    ):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("run_chains reached on bad input")
+
+        monkeypatch.setattr(cli, "run_chains", no_sampling)
+        if threads is None:
+            monkeypatch.delenv("POLAR_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("POLAR_THREADS", threads)
+        data = tmp_path / "in.csv"
+        if command == "eigenmodel":
+            write_adjacency(data, p=10, seed=3)
+        else:
+            write_fpca_csv(data, n=6, p=24, seed=3)
+        out = tmp_path / "o"
+        argv = [command, str(data), *flags, "--out", str(out)]
+        if config is not None:
+            cfg = tmp_path / "opts.cfg"
+            cfg.write_text(config)
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(out.glob("*.csv"))
 
 
 class TestCheckCommand:

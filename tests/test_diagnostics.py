@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from polarexp.diagnostics import (
+    _autocov,
     _geyer_truncation,
     ess,
     split_rhat,
     summarize,
-    write_trace_csv,
 )
 from polarexp.distributions import Ar1Params, sample_ar1
 
@@ -47,7 +47,7 @@ class TestEss:
         rng = np.random.default_rng(3)
         for _ in range(5):
             x = sample_ar1(1, 5000, Ar1Params(phi=0.8, sigma2=1.0), rng).ravel()
-            lag, pair = _geyer_truncation(x)
+            lag, pair = _geyer_truncation(_autocov(x))
             assert lag % 2 == 0
             assert np.all(np.diff(pair) <= 1e-12)
             assert np.all(pair > 0)
@@ -111,18 +111,3 @@ class TestSummarize:
         rows = summarize(rng.standard_normal((500, 1)), ["x"])
         assert len(rows) == 1
         assert rows[0].ess > 100
-
-
-class TestTraceCsv:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(10)
-        draws = rng.standard_normal((2, 6, 2))
-        path = tmp_path / "trace.csv"
-        write_trace_csv(path, draws, ["alpha", "beta"], thin=2)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "iteration,chain,parameter,value"
-        # 2 chains x 3 thinned iterations x 2 parameters
-        assert len(lines) == 1 + 12
-        it, chain, name, value = lines[1].split(",")
-        assert (it, chain, name) == ("0", "0", "alpha")
-        assert float(value) == draws[0, 0, 0]

@@ -38,6 +38,34 @@ class TestData:
         with pytest.raises(ValueError, match="0 or 1"):
             EigenmodelData(y=y)
 
+    def test_first_bad_cell_matches_loop(self):
+        # reference: scan the upper triangle row by row, asymmetry first
+        def first_bad(y):
+            for i in range(y.shape[0]):
+                for j in range(i + 1, y.shape[0]):
+                    if y[i, j] != y[j, i]:
+                        return f"asymmetric at cell ({i + 1}, {j + 1})"
+                    if y[i, j] not in (0.0, 1.0):
+                        return f"non-binary cell ({i + 1}, {j + 1})"
+            return None
+
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            y = (rng.random((6, 6)) < 0.5).astype(float)
+            y = np.triu(y, 1) + np.triu(y, 1).T
+            for _ in range(rng.integers(1, 4)):
+                i, j = rng.integers(0, 6, 2)
+                y[i, j] = rng.choice([0.0, 1.0, 2.0, -0.5])
+                if rng.random() < 0.5:
+                    y[j, i] = y[i, j]
+            expected = first_bad(y)
+            if expected is None:
+                EigenmodelData(y=y)
+                continue
+            with pytest.raises(ValueError) as err:
+                EigenmodelData(y=y)
+            assert str(err.value).startswith(expected)
+
     def test_diagonal_ignored(self):
         y = np.eye(4) * 7.0  # nonsense diagonal is fine
         data = EigenmodelData(y=y)

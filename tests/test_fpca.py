@@ -16,7 +16,8 @@ from polarexp.models import (
     simulate_fpca,
     unpack_fpca_params,
 )
-from polarexp.models.fpca import DEFAULT_RHO_MEAN, _ar1_ll_grad
+from polarexp.distributions import ar1_loglik_grad
+from polarexp.models.fpca import DEFAULT_RHO_MEAN
 
 
 def random_stiefel(rng, p, k):
@@ -129,22 +130,22 @@ class TestAr1Grad:
         rng = np.random.default_rng(7)
         r = rng.standard_normal((3, 8))
         phi, sig2 = 0.6, 1.4
-        ll, g_r, d_sig2, d_phi = _ar1_ll_grad(r, phi, sig2)
+        ll, g_r, d_sig2, d_phi = ar1_loglik_grad(r, phi, sig2)
         h = 1e-6
         assert d_sig2 == pytest.approx(
-            (_ar1_ll_grad(r, phi, sig2 + h)[0] - _ar1_ll_grad(r, phi, sig2 - h)[0])
+            (ar1_loglik_grad(r, phi, sig2 + h)[0] - ar1_loglik_grad(r, phi, sig2 - h)[0])
             / (2 * h),
             rel=1e-5,
         )
         assert d_phi == pytest.approx(
-            (_ar1_ll_grad(r, phi + h, sig2)[0] - _ar1_ll_grad(r, phi - h, sig2)[0])
+            (ar1_loglik_grad(r, phi + h, sig2)[0] - ar1_loglik_grad(r, phi - h, sig2)[0])
             / (2 * h),
             rel=1e-5,
         )
         for idx in [(0, 0), (1, 3), (2, 7)]:
             e = np.zeros_like(r)
             e[idx] = h
-            fd = (_ar1_ll_grad(r + e, phi, sig2)[0] - _ar1_ll_grad(r - e, phi, sig2)[0]) / (
+            fd = (ar1_loglik_grad(r + e, phi, sig2)[0] - ar1_loglik_grad(r - e, phi, sig2)[0]) / (
                 2 * h
             )
             assert g_r[idx] == pytest.approx(fd, rel=1e-5, abs=1e-8)

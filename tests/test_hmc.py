@@ -8,6 +8,7 @@ from polarexp.hmc import (
     leapfrog,
     run_chains,
 )
+from polarexp.matcore import DegenerateMatrixError
 
 
 def gaussian_target(dim, cov=None):
@@ -24,6 +25,16 @@ def gaussian_target(dim, cov=None):
     return UnconstrainedTarget(dim=dim, value_and_grad=vag)
 
 
+def energy_error(tgt, q, m, eps, steps, mass=None):
+    """Run the sampler's leapfrog from (q, m); returns (q, m, Hamiltonian error)."""
+    mass = np.ones_like(q) if mass is None else mass
+    val0, grad0 = tgt.value_and_grad(q)
+    q1, m1, val1, _ = leapfrog(tgt, q, m, grad0, eps, steps, mass)
+    h0 = -val0 + 0.5 * float(np.sum(m * m / mass))
+    h1 = -val1 + 0.5 * float(np.sum(m1 * m1 / mass))
+    return q1, m1, h1 - h0
+
+
 class TestLeapfrog:
     def test_energy_error_scales_quadratically(self):
         # symplectic integrator: the per-trajectory Hamiltonian error is
@@ -36,7 +47,7 @@ class TestLeapfrog:
         m = rng.standard_normal(3)
         errs = []
         for eps, steps in [(0.2, 10), (0.1, 20), (0.05, 40)]:
-            _, _, de = leapfrog(tgt, q, m, eps, steps)
+            _, _, de = energy_error(tgt, q, m, eps, steps)
             errs.append(abs(de))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.5)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.5)
@@ -46,29 +57,55 @@ class TestLeapfrog:
         rng = np.random.default_rng(1)
         q0 = rng.standard_normal(5)
         m0 = rng.standard_normal(5)
-        q1, m1, _ = leapfrog(tgt, q0, m0, 0.1, 25)
-        q2, m2, _ = leapfrog(tgt, q1, -m1, 0.1, 25)
+        q1, m1, _ = energy_error(tgt, q0, m0, 0.1, 25)
+        q2, m2, _ = energy_error(tgt, q1, -m1, 0.1, 25)
         np.testing.assert_allclose(q2, q0, atol=1e-10)
         np.testing.assert_allclose(-m2, m0, atol=1e-10)
 
     def test_long_run_stability(self):
         # a stable step size keeps the energy bounded over 10^4 steps
         tgt = gaussian_target(2)
-        q, m, de = leapfrog(tgt, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.05, 10_000)
+        q, m, de = energy_error(tgt, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.05, 10_000)
         assert abs(de) < 0.1
         assert np.all(np.isfinite(q)) and np.all(np.isfinite(m))
 
     def test_mass_matrix_rescaling(self):
-        # with mass diag m, trajectories equal the unit-mass trajectories of
-        # the coordinate-rescaled Hamiltonian; just check the obvious identity
-        tgt = gaussian_target(2)
-        q, m, _ = leapfrog(
-            tgt, np.array([1.0, 1.0]), np.array([0.5, 0.5]), 0.1, 7,
-            mass_diag=np.array([1.0, 1.0]),
-        )
-        q2, m2, _ = leapfrog(tgt, np.array([1.0, 1.0]), np.array([0.5, 0.5]), 0.1, 7)
-        np.testing.assert_allclose(q, q2, atol=1e-14)
-        np.testing.assert_allclose(m, m2, atol=1e-14)
+        # with diagonal mass M, (q, m) trajectories map onto unit-mass
+        # trajectories of z = M^{1/2} q, r = M^{-1/2} m on the rescaled target
+        cov = np.diag([4.0, 0.25])
+        mass = np.array([0.25, 4.0])
+        q0, m0 = np.array([1.0, 1.0]), np.array([0.5, 0.5])
+        q, m, de = energy_error(gaussian_target(2, cov), q0, m0, 0.1, 7, mass)
+        root = np.sqrt(mass)
+        z, r, de_unit = energy_error(gaussian_target(2, cov * mass), root * q0, m0 / root, 0.1, 7)
+        np.testing.assert_allclose(root * q, z, atol=1e-14)
+        np.testing.assert_allclose(m / root, r, atol=1e-14)
+        assert de == pytest.approx(de_unit, abs=1e-14)
+
+    def test_one_gradient_per_step(self):
+        calls = []
+
+        def vag(x):
+            calls.append(x)
+            return -0.5 * float(x @ x), -x
+
+        tgt = UnconstrainedTarget(dim=2, value_and_grad=vag)
+        q0 = np.array([0.3, -0.2])
+        leapfrog(tgt, q0, np.ones(2), -q0, 0.1, 5, np.ones(2))
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("bad", ["nan_value", "nan_grad", "degenerate"])
+    def test_divergence_reported(self, bad):
+        # the trajectory's third position is past the bad boundary
+        def vag(x):
+            if x[0] > 0.25:
+                if bad == "degenerate":
+                    raise DegenerateMatrixError("rank-deficient state")
+                return (np.nan, -x) if bad == "nan_value" else (0.0, x * np.nan)
+            return -0.5 * float(x @ x), -x
+
+        tgt = UnconstrainedTarget(dim=1, value_and_grad=vag)
+        assert leapfrog(tgt, np.zeros(1), np.ones(1), np.zeros(1), 0.1, 10, np.ones(1)) is None
 
 
 class TestRunChains:
@@ -121,8 +158,7 @@ class TestRunChains:
             max_energy_error=25.0, seed=15,
         )
         out = run_chains(tgt, cfg)[0]
-        assert out.divergences >= 0  # counter exists and is non-negative
-        assert out.divergences <= 500
+        assert 0 < out.divergences <= 500
 
     def test_all_divergent_raises_initialization_error(self):
         def vag(x):

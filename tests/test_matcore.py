@@ -11,7 +11,6 @@ from polarexp.matcore import (
     log_multigamma,
     log_polar_jacobian,
     polar_decompose,
-    sym_sqrt,
     thin_svd,
 )
 
@@ -20,6 +19,11 @@ GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
 def random_stiefel(rng, p, k):
     return np.linalg.qr(rng.standard_normal((p, k)))[0]
+
+
+def gram(pair):
+    """X^T X = v diag(d)^2 v^T from the SVD that a PolarPair carries."""
+    return (pair.v * pair.d**2) @ pair.v.T
 
 
 class TestThinSvd:
@@ -54,14 +58,14 @@ class TestPolarDecompose:
         q0 = random_stiefel(rng, 5, 3)
         pair = polar_decompose(q0)
         np.testing.assert_allclose(pair.q, q0, atol=1e-12)
-        np.testing.assert_allclose(pair.s.mat, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(gram(pair), np.eye(3), atol=1e-12)
 
     def test_positive_scaling(self):
         rng = np.random.default_rng(2)
         q0 = random_stiefel(rng, 4, 2)
         pair = polar_decompose(3.5 * q0)
         np.testing.assert_allclose(pair.q, q0, atol=1e-12)
-        np.testing.assert_allclose(pair.s.mat, 3.5**2 * np.eye(2), atol=1e-10)
+        np.testing.assert_allclose(gram(pair), 3.5**2 * np.eye(2), atol=1e-10)
 
     def test_2x2_closed_form(self):
         # independent oracle: Q = X (X^T X)^{-1/2} via a 2x2 eigendecomposition
@@ -81,7 +85,7 @@ class TestPolarDecompose:
         for _ in range(20):
             x = rng.standard_normal((5, 2))
             pair = polar_decompose(x)
-            recon = pair.q @ sym_sqrt(pair.s).mat
+            recon = pair.q @ (pair.v * pair.d) @ pair.v.T
             assert np.linalg.norm(recon - x) <= 1e-8 * np.linalg.norm(x)
 
     def test_idempotence(self):
@@ -90,7 +94,7 @@ class TestPolarDecompose:
         q = polar_decompose(x).q
         pair = polar_decompose(q)
         assert np.linalg.norm(pair.q - q) <= 1e-10
-        assert np.linalg.norm(pair.s.mat - np.eye(3)) <= 1e-10
+        assert np.linalg.norm(gram(pair) - np.eye(3)) <= 1e-10
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(5)
@@ -99,7 +103,7 @@ class TestPolarDecompose:
         for c in (0.1, 2.0, 117.0):
             scaled = polar_decompose(c * x)
             assert np.max(np.abs(scaled.q - base.q)) <= 1e-10
-            np.testing.assert_allclose(scaled.s.mat, c**2 * base.s.mat, rtol=1e-10)
+            np.testing.assert_allclose(gram(scaled), c**2 * gram(base), rtol=1e-10)
 
     def test_nearest_point_property(self):
         rng = np.random.default_rng(6)
@@ -110,30 +114,6 @@ class TestPolarDecompose:
             for _ in range(1000):
                 q = random_stiefel(rng, p, k)
                 assert best <= np.linalg.norm(x - q) + 1e-12
-
-
-class TestSymSqrt:
-    def test_diagonal(self):
-        r = sym_sqrt(SpdMatrix(np.diag([4.0, 9.0])))
-        np.testing.assert_allclose(r.mat, np.diag([2.0, 3.0]), atol=1e-12)
-
-    def test_identity_inverse(self):
-        r = sym_sqrt(SpdMatrix(np.eye(3)), inverse=True)
-        np.testing.assert_allclose(r.mat, np.eye(3), atol=1e-14)
-
-    def test_eigendecomposition_oracle(self):
-        # eigenvalues of [[2,1],[1,2]] are 1 and 3
-        s = SpdMatrix([[2.0, 1.0], [1.0, 2.0]])
-        r = sym_sqrt(s)
-        assert np.linalg.norm(r.mat @ r.mat - s.mat) <= 1e-12
-        w = np.linalg.eigvalsh(s.mat)
-        np.testing.assert_allclose(w, [1.0, 3.0], atol=1e-12)
-        rinv = sym_sqrt(s, inverse=True)
-        assert np.linalg.norm(rinv.mat @ rinv.mat - np.linalg.inv(s.mat)) <= 1e-12
-
-    def test_ill_conditioned_raises(self):
-        with pytest.raises(IllConditionedError):
-            sym_sqrt(SpdMatrix(np.diag([1.0, 1e-16])))
 
 
 class TestLogMultigamma:
