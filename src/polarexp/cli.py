@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, astuple, fields
@@ -40,8 +39,6 @@ from .models import (
     fpca_initial_points,
     fpca_point_estimate_v,
     fpca_target,
-    unpack_eigen_params,
-    unpack_fpca_params,
 )
 
 
@@ -134,12 +131,6 @@ def _hmc_config(merged) -> HmcConfig:
     # the ESS and R-hat summaries need this many draws; fail now, not after sampling
     if config.samples < MIN_DRAWS:
         raise IngestionError(f"need at least {MIN_DRAWS} samples, got {config.samples}")
-    threads = os.environ.get("POLAR_THREADS")
-    if threads is not None:
-        try:
-            int(threads)
-        except ValueError:
-            raise IngestionError(f"POLAR_THREADS must be an integer, got {threads!r}") from None
     return config
 
 
@@ -155,6 +146,7 @@ def _write_meta(out_dir, merged, config, outputs, wall_time, extra=None):
         "divergences": [o.divergences for o in outputs],
         "accept_rates": [o.accept_rate for o in outputs],
         "step_sizes": [o.step_size for o in outputs],
+        "grad_evals": [o.grad_evals for o in outputs],
         "wall_time_seconds": wall_time,
     }
     if extra:
@@ -202,7 +194,14 @@ def _read_numeric_csv(path):
     widths = {len(r) for r in data}
     if len(widths) != 1:
         raise IngestionError(f"{path}: ragged rows (widths {sorted(widths)})")
-    return np.asarray(data, dtype=float), labels
+    mat = np.asarray(data, dtype=float)
+    bad = np.argwhere(~np.isfinite(mat))
+    if bad.size:
+        i, j = bad[0]
+        raise IngestionError(
+            f"{path}: non-finite cell at data row {i + 1}, column {j + 1}: {mat[i, j]:g}"
+        )
+    return mat, labels
 
 
 def _load_adjacency(path) -> EigenmodelData:
@@ -285,21 +284,12 @@ def cmd_eigenmodel(args) -> int:
     wall = time.perf_counter() - t0
 
     n_chains, n_iter = config.chains, config.samples
-    c_draws = np.empty((n_chains, n_iter))
-    lam_draws = np.empty((n_chains, n_iter, k))
-    q_draws = np.empty((n_chains * n_iter, p, k))
-    qlq_mean = np.zeros((p, p))
-    idx = 0
-    for ci, o in enumerate(outputs):
-        for it in range(n_iter):
-            c, x, lam = unpack_eigen_params(o.draws[it], p, k)
-            q = polar_decompose(x).q
-            c_draws[ci, it] = c
-            lam_draws[ci, it] = lam
-            q_draws[idx] = q
-            qlq_mean += (q * lam) @ q.T
-            idx += 1
-    qlq_mean /= n_chains * n_iter
+    draws = np.stack([o.draws for o in outputs])
+    c_draws = draws[:, :, 0]
+    lam_draws = draws[:, :, 1 + p * k :]
+    q_draws = polar_decompose(draws[:, :, 1 : 1 + p * k].reshape(-1, p, k)).q
+    qlq_mean = np.einsum("tij,tj,tlj->il", q_draws, lam_draws.reshape(-1, k), q_draws,
+                         optimize=True) / (n_chains * n_iter)
 
     # resolve the sign/permutation symmetry against a common reference
     q_aligned, lam_aligned = align_eigen_draws(
@@ -359,38 +349,23 @@ def cmd_fpca(args) -> int:
     wall = time.perf_counter() - t0
 
     n_chains, n_iter = config.chains, config.samples
-    mean_fit = np.zeros((n, p))
-    scalar_draws = np.empty((n_chains, n_iter, k + 3))  # d_1..k, sigma2, phi, rho
+    draws = np.stack([o.draws for o in outputs])
+    u = polar_decompose(draws[:, :, : n * k].reshape(-1, n, k)).q
+    v = polar_decompose(draws[:, :, n * k : (n + p) * k].reshape(-1, p, k)).q
+    eta = draws[:, :, (n + p) * k :]  # log d_1..k, log sigma2, atanh phi, log rho
+    scalar_draws = np.exp(eta)  # d_1..k, sigma2, phi, rho
+    scalar_draws[:, :, k + 1] = np.tanh(eta[:, :, k + 1])
+    d = scalar_draws[:, :, :k].reshape(-1, k)
+    mean_fit = np.einsum("tij,tj,tlj->il", u, d, v, optimize=True) / (n_chains * n_iter)
     thin = max(1, merged["thin"])
-    kept_u, kept_d, kept_v = [], [], []
-    for ci, o in enumerate(outputs):
-        for it in range(n_iter):
-            x_u, x_v, eta_d, eta_s, eta_p, eta_r = unpack_fpca_params(
-                o.draws[it], n, p, k
-            )
-            u = polar_decompose(x_u).q
-            v = polar_decompose(x_v).q
-            d = np.exp(eta_d)
-            mean_fit += (u * d) @ v.T
-            scalar_draws[ci, it, :k] = d
-            scalar_draws[ci, it, k:] = [
-                np.exp(eta_s),
-                np.tanh(eta_p),
-                np.exp(eta_r),
-            ]
-            if it % thin == 0:
-                kept_u.append(u)
-                kept_d.append(d)
-                kept_v.append(v)
-    mean_fit /= n_chains * n_iter
+    # every thin-th iteration of each chain goes into the curve exports
+    kept = np.arange(n_chains * n_iter) % n_iter % thin == 0
 
     v_hat = fpca_point_estimate_v(mean_fit, k)
     _, _, v_classical = thin_svd(data.y)
     v_classical = v_classical[:, :k]
 
-    u_al, d_al, v_al = align_fpca_draws(
-        np.asarray(kept_u), np.asarray(kept_d), np.asarray(kept_v), reference=v_hat
-    )
+    u_al, d_al, v_al = align_fpca_draws(u[kept], d[kept], v[kept], reference=v_hat)
     # align the per-iteration d draws for summaries (signs irrelevant for d)
     d_mean = d_al.mean(axis=0)
 

@@ -2,8 +2,7 @@
 
 Log densities on the Stiefel manifold are taken with respect to the uniform
 *probability* measure, so the uniform density is identically 1 (log 0). All
-samplers take an injected numpy Generator; one generator per chain gives
-thread safety.
+samplers take an injected numpy Generator.
 """
 
 from __future__ import annotations
@@ -86,14 +85,18 @@ def sample_macg(params: MacgParams, k: int, rng: np.random.Generator) -> np.ndar
     return polar_decompose(params.sigma.chol @ z).q
 
 
-def log_matrix_normal(x, sigma: SpdMatrix) -> float:
-    """Log density of the centered matrix normal N(0, sigma, I) at x (p x k)."""
+def log_matrix_normal(x, sigma: SpdMatrix):
+    """Log density of the centered matrix normal N(0, sigma, I) at x (p x k).
+
+    For a stack x (..., p, k) it returns one density per matrix.
+    """
     x = np.asarray(x, dtype=float)
-    p, k = x.shape
+    p, k = x.shape[-2:]
     if sigma.dim != p:
         raise ValueError("row-covariance dimension mismatch")
-    quad = float(np.sum(x * sigma.solve(x)))
-    return -0.5 * p * k * LOG_2PI - 0.5 * k * sigma.logdet() - 0.5 * quad
+    quad = np.sum(x * sigma.solve(x), axis=(-2, -1))
+    val = -0.5 * p * k * LOG_2PI - 0.5 * k * sigma.logdet() - 0.5 * quad
+    return float(val) if x.ndim == 2 else val
 
 
 def se_kernel(params: SeKernelParams) -> SpdMatrix:
@@ -121,27 +124,32 @@ def ar1_loglik_grad(r, phi, sig2):
     """Gaussian log density of the rows of r under covariance sig2 * Omega(phi), with gradients.
 
     Uses the Markov factorization, O(p) per row: x_1 ~ N(0, sig2),
-    x_t | x_{t-1} ~ N(phi x_{t-1}, sig2 (1 - phi^2)). The rows of the 2-D
-    array r are independent series (summed).
-    Returns (ll, d ll/d r, d ll/d sig2, d ll/d phi).
+    x_t | x_{t-1} ~ N(phi x_{t-1}, sig2 (1 - phi^2)). The rows of the n x p
+    matrix r are independent series (summed). A stack r (..., n, p) takes
+    phi and sig2 of shape (...), one pair per matrix.
+    Returns (ll, d ll/d r, d ll/d sig2, d ll/d phi), each with a leading (...).
     """
-    n, p = r.shape
-    s1 = float(np.sum(r[:, 0] ** 2))
+    r = np.asarray(r, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    sig2 = np.asarray(sig2, dtype=float)
+    n, p = r.shape[-2:]
+    s1 = np.sum(r[..., 0] ** 2, axis=-1)
     ll = -0.5 * n * (LOG_2PI + np.log(sig2)) - s1 / (2.0 * sig2)
     g = np.zeros_like(r)
-    g[:, 0] = -r[:, 0] / sig2
+    g[..., 0] = -r[..., 0] / sig2[..., None]
     d_sig2 = -n / (2.0 * sig2) + s1 / (2.0 * sig2 * sig2)
-    d_phi = 0.0
+    d_phi = np.zeros_like(ll)
     if p > 1:
         omphi2 = 1.0 - phi * phi
         v = sig2 * omphi2
-        e = r[:, 1:] - phi * r[:, :-1]
-        se = float(np.sum(e * e))
-        sc = float(np.sum(e * r[:, :-1]))
-        ll += -0.5 * n * (p - 1) * (LOG_2PI + np.log(v)) - se / (2.0 * v)
-        g[:, :-1] += phi * e / v
-        g[:, 1:] += -e / v
-        d_sig2 += -n * (p - 1) / (2.0 * sig2) + se / (2.0 * sig2 * sig2 * omphi2)
+        phi_m, v_m = phi[..., None, None], v[..., None, None]
+        e = r[..., 1:] - phi_m * r[..., :-1]
+        se = np.sum(e * e, axis=(-2, -1))
+        sc = np.sum(e * r[..., :-1], axis=(-2, -1))
+        ll = ll - 0.5 * n * (p - 1) * (LOG_2PI + np.log(v)) - se / (2.0 * v)
+        g[..., :-1] += phi_m * e / v_m
+        g[..., 1:] -= e / v_m
+        d_sig2 = d_sig2 - n * (p - 1) / (2.0 * sig2) + se / (2.0 * sig2 * sig2 * omphi2)
         d_phi = n * (p - 1) * phi / omphi2 + sc / v - phi * sig2 * se / (v * v)
     return ll, g, d_sig2, d_phi
 

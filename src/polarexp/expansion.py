@@ -42,10 +42,15 @@ class StiefelTarget:
 
 @dataclass(frozen=True)
 class UnconstrainedTarget:
-    """Differentiable log density (up to a constant) on a flat real vector."""
+    """Differentiable log density (up to a constant) on a flat real vector.
+
+    value_and_grad maps a batch of states (chains, dim) to (chains,) values
+    and (chains, dim) gradients, one row per state, and a single state (dim,)
+    to (float, (dim,)). A state outside the density's support gets -inf.
+    """
 
     dim: int
-    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
+    value_and_grad: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
     def log_density(self, x) -> float:
         return self.value_and_grad(x)[0]
@@ -54,9 +59,32 @@ class UnconstrainedTarget:
         return self.value_and_grad(x)[1]
 
 
+def batched(fn):
+    """A value_and_grad for UnconstrainedTarget from fn, which takes only batches.
+
+    fn maps (chains, dim) to ((chains,), (chains, dim)); the result also takes
+    one (dim,) state, as a batch of one.
+    """
+
+    def value_and_grad(x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            val, grad = fn(x[None, :])
+            return float(val[0]), grad[0]
+        return fn(x)
+
+    return value_and_grad
+
+
 def polar_vjp(x, g) -> np.ndarray:
     """Gradient w.r.t. X of f(Q_X), given g = df/dQ evaluated at Q_X."""
     return polar_decompose(x).vjp(np.asarray(g, dtype=float))
+
+
+def _per_q(fn, qs):
+    """fn, a per-matrix (value, gradient) function, over a stack of matrices."""
+    pairs = [fn(q) for q in qs]
+    return np.array([f for f, _ in pairs], dtype=float), np.array([g for _, g in pairs])
 
 
 def expand_general(target: StiefelTarget) -> UnconstrainedTarget:
@@ -64,19 +92,20 @@ def expand_general(target: StiefelTarget) -> UnconstrainedTarget:
 
     The returned log density is normalized whenever target.log_density is a
     normalized density w.r.t. the uniform probability measure on V(k, p).
+    The per-Q target is called once per row of a batch.
     """
     p, k = target.p, target.k
     const = -0.5 * p * k * LOG_2PI
 
     def value_and_grad(x):
-        mat = np.asarray(x, dtype=float).reshape(p, k)
+        mat = x.reshape(-1, p, k)
         polar = polar_decompose(mat)
-        f, gq = target.value_and_grad(polar.q)
-        val = const - 0.5 * float(np.sum(mat * mat)) + f
+        f, gq = _per_q(target.value_and_grad, polar.q)
+        val = const - 0.5 * np.sum(mat * mat, axis=(1, 2)) + f
         grad = -mat + polar.vjp(gq)
-        return val, grad.ravel()
+        return val, grad.reshape(x.shape)
 
-    return UnconstrainedTarget(dim=p * k, value_and_grad=value_and_grad)
+    return UnconstrainedTarget(dim=p * k, value_and_grad=batched(value_and_grad))
 
 
 def expand_macg_posterior(
@@ -89,20 +118,20 @@ def expand_macg_posterior(
 
     log f_X(x) = loglik(Q_X) + log N(X | 0, sigma, I); the matrix-normal
     gradient -sigma^{-1} X combines with the VJP of the likelihood gradient.
+    The likelihood is called once per row of a batch.
     """
     if sigma.dim != p:
         raise ValueError("sigma must be p x p")
 
     def value_and_grad(x):
-        mat = np.asarray(x, dtype=float).reshape(p, k)
+        mat = x.reshape(-1, p, k)
         polar = polar_decompose(mat)
-        f, gq = loglik(polar.q)
-        sol = sigma.solve(mat)
+        f, gq = _per_q(loglik, polar.q)
         val = f + log_matrix_normal(mat, sigma)
-        grad = -sol + polar.vjp(gq)
-        return val, grad.ravel()
+        grad = -sigma.solve(mat) + polar.vjp(gq)
+        return val, grad.reshape(x.shape)
 
-    return UnconstrainedTarget(dim=p * k, value_and_grad=value_and_grad)
+    return UnconstrainedTarget(dim=p * k, value_and_grad=batched(value_and_grad))
 
 
 @dataclass(frozen=True)

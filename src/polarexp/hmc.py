@@ -3,13 +3,13 @@
 Static-path HMC with jittered leapfrog length, dual-averaging step-size
 adaptation toward a target acceptance rate, and windowed diagonal mass
 estimation during warmup. Chains are independent and deterministic given
-(seed, chain index); they may run in parallel threads.
+(seed, chain index). They run as one batch in one thread: the target is
+called on the states of all chains at once, and a chain whose trajectory
+has ended leaves the batch until the next transition.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +49,7 @@ class ChainOutput:
     step_size_trace: np.ndarray
     mass_diag: np.ndarray
     seed: int
+    grad_evals: int
 
 
 class ChainInitializationError(RuntimeError):
@@ -56,17 +57,18 @@ class ChainInitializationError(RuntimeError):
 
 
 class _DualAveraging:
-    """Nesterov dual averaging of log step size (gamma=0.05, t0=10, kappa=0.75)."""
+    """Nesterov dual averaging of log step size (gamma=0.05, t0=10), one per chain.
 
-    def __init__(self, eps0, target, gamma=0.05, t0=10.0, kappa=0.75):
+    The chains share the iteration count; accept_prob and log_eps are per chain.
+    """
+
+    def __init__(self, eps0, target, n_chains, gamma=0.05, t0=10.0):
         self.mu = np.log(10.0 * eps0)
         self.target = target
         self.gamma = gamma
         self.t0 = t0
-        self.kappa = kappa
-        self.log_eps = np.log(eps0)
-        self.log_eps_bar = np.log(eps0)
-        self.h_bar = 0.0
+        self.log_eps = np.full(n_chains, np.log(eps0))
+        self.h_bar = np.zeros(n_chains)
         self.t = 0
 
     def update(self, accept_prob):
@@ -74,57 +76,108 @@ class _DualAveraging:
         eta = 1.0 / (self.t + self.t0)
         self.h_bar = (1.0 - eta) * self.h_bar + eta * (self.target - accept_prob)
         self.log_eps = self.mu - np.sqrt(self.t) / self.gamma * self.h_bar
-        w = self.t ** (-self.kappa)
-        self.log_eps_bar = w * self.log_eps + (1.0 - w) * self.log_eps_bar
 
     @property
     def eps(self):
-        return float(np.exp(self.log_eps))
-
-    @property
-    def eps_final(self):
-        return float(np.exp(self.log_eps_bar))
+        return np.exp(self.log_eps)
 
 
-def leapfrog(target: UnconstrainedTarget, position, momentum, grad, step, steps, mass):
-    """Run `steps` >= 1 leapfrog steps from a state whose gradient is `grad`.
+def _evaluate(target, x, rows, evals):
+    """Values and gradients of target at the states x, one per chain in rows.
 
-    Kinetic energy is (1/2) m^T M^{-1} m with diagonal M = `mass`. Returns
-    (q, m, val, grad) at the end of the trajectory, or None when the target
-    turns non-finite or raises one of its degenerate-state errors on the way:
-    the trajectory has diverged.
+    One batched call; evals[c] counts the rows evaluated for chain c. If the
+    call raises a degenerate-state error, the rows are evaluated one at a
+    time, and a row that raises gets a NaN value.
     """
-    q = position
-    m = momentum + 0.5 * step * grad
+    evals[rows] += 1
     try:
-        for i in range(steps):
-            q = q + step * m / mass
-            val, grad = target.value_and_grad(q)
-            if not np.isfinite(val) or not np.all(np.isfinite(grad)):
-                return None
-            if i < steps - 1:
-                m = m + step * grad
+        return target.value_and_grad(x)
     except _RECOVERABLE:
-        return None
-    return q, m + 0.5 * step * grad, val, grad
+        pass
+    val = np.full(rows.size, np.nan)
+    grad = np.zeros_like(x)
+    for j, c in enumerate(rows):
+        evals[c] += 1
+        try:
+            v, g = target.value_and_grad(x[j : j + 1])
+        except _RECOVERABLE:
+            continue
+        val[j], grad[j] = v[0], g[0]
+    return val, grad
 
 
-def _transition(target, q, val, grad, eps, n_steps, mass, rng, max_energy_error):
-    """One HMC transition; returns (q, val, grad, accept_prob, accepted, diverged)."""
-    m0 = np.sqrt(mass) * rng.standard_normal(q.size)
-    h0 = -val + 0.5 * float(np.sum(m0 * m0 / mass))
-    end = leapfrog(target, q, m0, grad, eps, n_steps, mass)
-    if end is None:
-        return q, val, grad, 0.0, False, True
-    q_new, m, val_new, grad_new = end
-    h1 = -val_new + 0.5 * float(np.sum(m * m / mass))
-    delta = h1 - h0
-    if not np.isfinite(delta) or delta > max_energy_error:
-        return q, val, grad, 0.0, False, True
-    accept_prob = min(1.0, float(np.exp(-max(delta, 0.0))) if delta > 0 else 1.0)
-    if rng.random() < accept_prob:
-        return q_new, val_new, grad_new, accept_prob, True, False
-    return q, val, grad, accept_prob, False, False
+def leapfrog(target: UnconstrainedTarget, position, momentum, grad, step, steps, mass,
+             evals=None):
+    """Run steps[c] >= 1 leapfrog steps for each chain c of a batch.
+
+    position, momentum, grad and mass are (chains, dim), with grad the
+    gradient at position; step and steps are per chain. Kinetic energy is
+    (1/2) m^T M^{-1} m with diagonal M = mass. A chain whose trajectory has
+    ended leaves the batch. Returns (q, m, val, grad, diverged) at the ends of
+    the trajectories; a chain has diverged when the target turns non-finite
+    or raises one of its degenerate-state errors on its way. evals, if given,
+    counts the rows evaluated per chain.
+    """
+    n_chains = position.shape[0]
+    step = np.broadcast_to(np.asarray(step, dtype=float), (n_chains,))[:, None]
+    steps = np.broadcast_to(np.asarray(steps), (n_chains,))
+    mass = np.broadcast_to(mass, position.shape)
+    if evals is None:
+        evals = np.zeros(n_chains, dtype=int)
+    q = position.copy()
+    m = momentum + 0.5 * step * grad
+    grad = grad.copy()
+    val = np.full(n_chains, np.nan)
+    diverged = np.zeros(n_chains, dtype=bool)
+    # the chains still moving, and their states, compacted
+    rows = np.arange(n_chains)
+    qa, ma, sa, wa, left = q, m, step, mass, steps
+    taken = 0
+    while rows.size:
+        qa = qa + sa * ma / wa
+        va, ga = _evaluate(target, qa, rows, evals)
+        taken += 1
+        ok = np.isfinite(va) & np.all(np.isfinite(ga), axis=1)
+        diverged[rows[~ok]] = True
+        end = ok & (left == taken)
+        r = rows[end]
+        q[r], val[r], grad[r] = qa[end], va[end], ga[end]
+        m[r] = ma[end] + 0.5 * sa[end] * ga[end]
+        keep = ok & ~end
+        rows, qa, sa, wa, left = rows[keep], qa[keep], sa[keep], wa[keep], left[keep]
+        ma = ma[keep] + sa * ga[keep]
+    return q, m, val, grad, diverged
+
+
+def _transition(target, q, val, grad, eps, mass, rngs, config, evals):
+    """One HMC transition of every chain.
+
+    Chain c draws its path length, its momentum and, unless it diverged, its
+    accept uniform from rngs[c]. Returns (q, val, grad, accept_prob, accepted,
+    diverged), per chain.
+    """
+    n_steps = [rng.integers(1, config.max_leapfrog + 1) for rng in rngs]
+    m0 = np.sqrt(mass) * np.array([rng.standard_normal(q.shape[1]) for rng in rngs])
+    h0 = -val + 0.5 * np.sum(m0 * m0 / mass, axis=1)
+    q_new, m, val_new, grad_new, diverged = leapfrog(
+        target, q, m0, grad, eps, n_steps, mass, evals
+    )
+    h1 = np.full(len(rngs), np.nan)
+    done = ~diverged
+    h1[done] = -val_new[done] + 0.5 * np.sum(m[done] * m[done] / mass[done], axis=1)
+    accept_prob = np.zeros(len(rngs))
+    accepted = np.zeros(len(rngs), dtype=bool)
+    for c, rng in enumerate(rngs):
+        delta = h1[c] - h0[c]
+        if diverged[c] or not np.isfinite(delta) or delta > config.max_energy_error:
+            diverged[c] = True
+            continue
+        accept_prob[c] = min(1.0, float(np.exp(-max(delta, 0.0))) if delta > 0 else 1.0)
+        accepted[c] = rng.random() < accept_prob[c]
+    q = np.where(accepted[:, None], q_new, q)
+    val = np.where(accepted, val_new, val)
+    grad = np.where(accepted[:, None], grad_new, grad)
+    return q, val, grad, accept_prob, accepted, diverged
 
 
 def _mass_windows(n_adapt):
@@ -150,45 +203,48 @@ def _mass_windows(n_adapt):
     return first, ends, last
 
 
-def _run_single_chain(target, config, chain_idx, init):
-    rng = np.random.default_rng([config.seed, chain_idx])
-    dim = target.dim
-    if init is None:
-        # iid N(0,1) coordinates: for expanded targets this makes Q_X uniform.
-        q = rng.standard_normal(dim)
-    else:
-        q = np.array(init, dtype=float)
-        if q.shape != (dim,):
-            raise ValueError(f"init has shape {q.shape}, expected ({dim},)")
-    try:
-        val, grad = target.value_and_grad(q)
-    except _RECOVERABLE as exc:
-        raise ChainInitializationError(f"target failed at the initial point: {exc}")
-    if not np.isfinite(val):
-        raise ChainInitializationError("target is non-finite at the initial point")
+def _run_batch(target, config, inits):
+    """All chains as one batch; returns a list of ChainOutput, by chain index."""
+    n_chains, dim = config.chains, target.dim
+    rngs = [np.random.default_rng([config.seed, c]) for c in range(n_chains)]
+    q = np.empty((n_chains, dim))
+    for c, (rng, init) in enumerate(zip(rngs, inits)):
+        if init is None:
+            # iid N(0,1) coordinates: for expanded targets this makes Q_X uniform.
+            q[c] = rng.standard_normal(dim)
+        else:
+            init = np.asarray(init, dtype=float)
+            if init.shape != (dim,):
+                raise ValueError(f"init has shape {init.shape}, expected ({dim},)")
+            q[c] = init
+    evals = np.zeros(n_chains, dtype=int)
+    val, grad = _evaluate(target, q, np.arange(n_chains), evals)
+    bad = np.flatnonzero(~np.isfinite(val))
+    if bad.size:
+        raise ChainInitializationError(
+            f"chain {bad[0]}: target is non-finite or degenerate at the initial point"
+        )
 
-    mass = np.ones(dim)
-    da = _DualAveraging(config.init_step_size, config.target_accept)
+    mass = np.ones((n_chains, dim))
+    da = _DualAveraging(config.init_step_size, config.target_accept, n_chains)
     first, window_ends, _ = _mass_windows(config.warmup)
-    step_trace = np.empty(config.warmup)
+    step_trace = np.empty((n_chains, config.warmup))
     window_draws = []
-    tail_start = config.warmup - max(10, int(round(0.05 * config.warmup)))
-    tail_log_eps = []
-    any_accept = False
-
-    def draw_steps():
-        return int(rng.integers(1, config.max_leapfrog + 1))
+    n_tail = min(config.warmup, max(10, int(round(0.05 * config.warmup))))
+    tail_start = config.warmup - n_tail
+    tail_log_eps = np.empty((n_chains, n_tail))
+    any_accept = np.zeros(n_chains, dtype=bool)
 
     for it in range(config.warmup):
         eps = da.eps
         q, val, grad, aprob, accepted, _ = _transition(
-            target, q, val, grad, eps, draw_steps(), mass, rng, config.max_energy_error
+            target, q, val, grad, eps, mass, rngs, config, evals
         )
-        any_accept = any_accept or accepted
+        any_accept |= accepted
         da.update(aprob)
-        step_trace[it] = eps
+        step_trace[:, it] = eps
         if it >= tail_start:
-            tail_log_eps.append(da.log_eps)
+            tail_log_eps[:, it - tail_start] = da.log_eps
         if it + 1 > first:
             window_draws.append(q.copy())
         if (it + 1) in window_ends and len(window_draws) >= 10:
@@ -202,55 +258,55 @@ def _run_single_chain(target, config, chain_idx, init):
             mass = 1.0 / np.maximum(var, 1e-10)
             window_draws = []
 
-    if not any_accept:
+    stuck = np.flatnonzero(~any_accept)
+    if stuck.size:
+        c = stuck[0]
         raise ChainInitializationError(
-            f"chain {chain_idx}: every warmup transition diverged or was rejected "
-            f"(final step size {da.eps:.3e}); check the target or initialization"
+            f"chain {c}: every warmup transition diverged or was rejected "
+            f"(final step size {da.eps[c]:.3e}); check the target or initialization"
         )
 
-    # freeze at the tail-averaged iterate; less biased than eps_bar when the
-    # adaptation keeps oscillating late in warmup
-    eps = float(np.exp(np.mean(tail_log_eps)))
-    draws = np.empty((config.samples, dim))
-    divergences = 0
-    accept_sum = 0.0
+    # freeze at the tail-averaged iterate; less biased than the dual-averaging
+    # iterate average when the adaptation keeps oscillating late in warmup
+    eps = np.exp(np.mean(tail_log_eps, axis=1))
+    draws = np.empty((n_chains, config.samples, dim))
+    divergences = np.zeros(n_chains, dtype=int)
+    accept_sum = np.zeros(n_chains)
     for it in range(config.samples):
         q, val, grad, aprob, _, diverged = _transition(
-            target, q, val, grad, eps, draw_steps(), mass, rng, config.max_energy_error
+            target, q, val, grad, eps, mass, rngs, config, evals
         )
-        divergences += int(diverged)
+        divergences += diverged
         accept_sum += aprob
-        draws[it] = q
-    return ChainOutput(
-        draws=draws,
-        accept_rate=accept_sum / config.samples,
-        divergences=divergences,
-        step_size=eps,
-        step_size_trace=step_trace,
-        mass_diag=mass,
-        seed=chain_idx,
-    )
+        draws[:, it] = q
+    return [
+        ChainOutput(
+            draws=draws[c],
+            accept_rate=float(accept_sum[c] / config.samples),
+            divergences=int(divergences[c]),
+            step_size=float(eps[c]),
+            step_size_trace=step_trace[c],
+            mass_diag=mass[c],
+            seed=c,
+            grad_evals=int(evals[c]),
+        )
+        for c in range(n_chains)
+    ]
+
+
+# perfbench/launch.py traces the batch through this name
+_run_single_chain = _run_batch
 
 
 def run_chains(target: UnconstrainedTarget, config: HmcConfig, init=None):
     """Run config.chains independent chains; returns a list of ChainOutput.
 
-    `init`, if given, is a list of per-chain initial vectors. Parallelism is
-    capped by the POLAR_THREADS environment variable (default: one thread per
-    chain); results are ordered by chain index regardless of scheduling.
+    `init`, if given, is a list of per-chain initial vectors. The chains run
+    as one batch in one thread: every gradient evaluation takes the states of
+    all chains still moving. Each chain's draws depend only on (seed, chain
+    index).
     """
     inits = init if init is not None else [None] * config.chains
     if len(inits) != config.chains:
         raise ValueError("need one init per chain")
-    max_workers = int(os.environ.get("POLAR_THREADS", config.chains))
-    max_workers = max(1, min(max_workers, config.chains))
-    if max_workers == 1:
-        return [
-            _run_single_chain(target, config, c, inits[c]) for c in range(config.chains)
-        ]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = [
-            pool.submit(_run_single_chain, target, config, c, inits[c])
-            for c in range(config.chains)
-        ]
-        return [f.result() for f in futures]
+    return _run_single_chain(target, config, inits)

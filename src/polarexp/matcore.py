@@ -76,8 +76,13 @@ class SpdMatrix:
         return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
 
     def solve(self, b):
-        """S^{-1} b via the cached factor."""
-        return sla.cho_solve((self.chol, True), np.asarray(b, dtype=float))
+        """S^{-1} b via the cached factor; b is (p,), (p, m) or a stack (..., p, m)."""
+        b = np.asarray(b, dtype=float)
+        if b.ndim <= 2:
+            return sla.cho_solve((self.chol, True), b)
+        cols = np.moveaxis(b, -2, 0)
+        sol = sla.cho_solve((self.chol, True), cols.reshape(self.dim, -1))
+        return np.moveaxis(sol.reshape(cols.shape), 0, -2)
 
 
 @dataclass(frozen=True)
@@ -95,17 +100,20 @@ class PolarPair:
         With ghat = u^T g v, the tangent action on the singular-vector pair is
         the antisymmetric system h_ij = (ghat_ij - ghat_ji) / (d_i + d_j); for
         p > k the orthogonal complement contributes (I - uu^T) g v d^{-1} v^T.
+        Works on stacks: g has the shape of q, (..., p, k).
         """
         u, d, v = self.u, self.d, self.v
-        denom = d[:, None] + d[None, :]
-        if denom.min() <= VJP_DENOM_TOL * max(d[0], 1e-300):
+        denom = d[..., :, None] + d[..., None, :]
+        low = denom.min(axis=(-2, -1)) <= VJP_DENOM_TOL * np.maximum(d[..., 0], 1e-300)
+        if np.any(low):
             raise DegenerateMatrixError(
                 f"clustered singular values near zero: min(d_i + d_j) = {denom.min():.3e}"
             )
-        ghat = u.T @ g @ v
-        h = (ghat - ghat.T) / denom
-        comp = g - u @ ghat @ v.T  # (I - uu^T) g, written without forming uu^T
-        return u @ h @ v.T + comp @ (v / d) @ v.T
+        vt = v.swapaxes(-1, -2)
+        ghat = u.swapaxes(-1, -2) @ g @ v
+        h = (ghat - ghat.swapaxes(-1, -2)) / denom
+        comp = g - u @ ghat @ vt  # (I - uu^T) g, written without forming uu^T
+        return u @ h @ vt + comp @ (v / d[..., None, :]) @ vt
 
 
 def check_stiefel(q, tol: float = ORTH_TOL) -> np.ndarray:
@@ -121,40 +129,41 @@ def check_stiefel(q, tol: float = ORTH_TOL) -> np.ndarray:
 
 
 def thin_svd(x):
-    """Thin SVD of a p x k matrix (p >= k).
+    """Thin SVD of a p x k matrix (p >= k), or of each matrix in a stack (..., p, k).
 
-    Returns (u, d, v) with u of shape (p, k), d descending nonnegative,
+    Returns (u, d, v) with u of shape (..., p, k), d descending nonnegative,
     and v the k x k right factor (columns are right singular vectors),
     so that x = u @ diag(d) @ v.T.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
+    if x.ndim < 2:
         raise ValueError("expected a matrix")
     if not np.all(np.isfinite(x)):
         raise ValueError("matrix has non-finite entries")
     try:
-        u, d, vt = sla.svd(x, full_matrices=False)
-    except sla.LinAlgError as exc:
+        u, d, vt = np.linalg.svd(x, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
         raise SvdConvergenceError(f"SVD did not converge: {exc}") from exc
-    return u, d, vt.T
+    return u, d, vt.swapaxes(-1, -2)
 
 
 def polar_decompose(x) -> PolarPair:
-    """Polar decomposition of a full-rank p x k matrix.
+    """Polar decomposition of a full-rank p x k matrix, or of each matrix in a stack.
 
     Computed through the thin SVD x = u diag(d) v^T: the orthonormal factor
     is q = u v^T (the Frobenius-nearest matrix with orthonormal columns).
     The SVD is kept for the pullback PolarPair.vjp.
 
-    Raises DegenerateMatrixError when d_k < RANK_TOL * d_1.
+    Raises DegenerateMatrixError when d_k < RANK_TOL * d_1 for any matrix.
     """
     u, d, v = thin_svd(x)
-    if d[0] == 0.0 or d[-1] < RANK_TOL * d[0]:
-        ratio = d[-1] / d[0] if d[0] > 0 else 0.0
+    first, last = d[..., 0], d[..., -1]
+    if np.any((first == 0.0) | (last < RANK_TOL * first)):
+        ratio = np.min(last / np.maximum(first, np.finfo(float).tiny))
         raise DegenerateMatrixError(
             f"rank-deficient input: d_k/d_1 = {ratio:.3e} < {RANK_TOL:.0e}"
         )
-    return PolarPair(q=u @ v.T, u=u, d=d, v=v)
+    return PolarPair(q=u @ v.swapaxes(-1, -2), u=u, d=d, v=v)
 
 
 def match_columns(ref, mats, order):

@@ -34,11 +34,13 @@ from ..distributions import (
     sample_uniform_stiefel,
     se_kernel,
 )
-from ..expansion import UnconstrainedTarget
+from ..expansion import UnconstrainedTarget, batched
 from ..matcore import match_columns, polar_decompose, thin_svd
 
 DEFAULT_RHO_MEAN = 365.0 / (4.0 * np.pi)
 DEFAULT_RHO_SD = 5.0
+# Largest |atanh phi| whose tanh stays below 1; past it 1 - phi^2 can round to 0.
+ETA_PHI_MAX = float(np.arctanh(np.nextafter(1.0, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,9 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
 
     Each evaluation factors K(rho) afresh (it depends on the state); a
     Cholesky failure at extreme rho surfaces as an ill-conditioning error,
-    which the HMC engine treats as a divergence.
+    which the HMC engine treats as a divergence. A batch of states is
+    evaluated in one pass, except for the kernel, which is built, factored
+    and inverted once per state.
     """
     y = data.y
     grid = np.asarray(data.grid, dtype=float)
@@ -180,33 +184,60 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
     sqdist = (grid[:, None] - grid[None, :]) ** 2
     dim = n * k + p * k + k + 3
 
+    def kernel_terms(rho, x_v):
+        """log|K|, K^{-1} x_v and the rho-derivative of the matrix-normal term, per state."""
+        logdet = np.empty(rho.size)
+        kinv_xv = np.empty_like(x_v)
+        d_rho_mn = np.empty(rho.size)
+        for i in range(rho.size):
+            kern = se_kernel(SeKernelParams(grid=grid, rho=rho[i], nugget=nugget))
+            logdet[i] = kern.logdet()
+            kinv_xv[i] = kern.solve(x_v[i])
+            # dK/drho has entries K_ij * (t_i - t_j)^2 / rho^3 (nugget drops out)
+            kprime = kern.mat * (sqdist / rho[i] ** 3)
+            kinv = kern.solve(np.eye(p))
+            d_rho_mn[i] = -0.5 * k * np.sum(kinv * kprime) + 0.5 * np.sum(
+                (kinv_xv[i] @ kinv_xv[i].T) * kprime
+            )
+        return logdet, kinv_xv, d_rho_mn
+
     def value_and_grad(theta):
-        x_u, x_v, eta_d, eta_sigma, eta_phi, eta_rho = unpack_fpca_params(theta, n, p, k)
+        val = np.full(theta.shape[0], -np.inf)
+        grad = np.zeros_like(theta)
+        eta_d = theta[:, n * k + p * k : n * k + p * k + k]
+        eta_sigma, eta_phi, eta_rho = theta[:, -3:].T
         # far outside any plausible scale the exp/tanh transforms overflow or
-        # underflow; report -inf so the sampler treats the state as divergent
-        if max(abs(eta_sigma), abs(eta_rho), float(np.max(np.abs(eta_d)))) > 40.0:
-            return -np.inf, np.zeros(dim)
+        # underflow, or tanh rounds to 1; report -inf so the sampler treats
+        # the state as divergent
+        ok = (
+            (np.abs(eta_sigma) <= 40.0)
+            & (np.abs(eta_rho) <= 40.0)
+            & np.all(np.abs(eta_d) <= 40.0, axis=1)
+            & (np.abs(eta_phi) <= ETA_PHI_MAX)
+        )
+        if not np.any(ok):
+            return val, grad
+        th = theta[ok]
+        x_u = th[:, : n * k].reshape(-1, n, k)
+        x_v = th[:, n * k : n * k + p * k].reshape(-1, p, k)
+        eta_d, eta_sigma, eta_phi, eta_rho = eta_d[ok], eta_sigma[ok], eta_phi[ok], eta_rho[ok]
         d_vec = np.exp(eta_d)
-        sig2 = float(np.exp(eta_sigma))
-        phi = float(np.tanh(eta_phi))
-        rho = float(np.exp(eta_rho))
+        sig2 = np.exp(eta_sigma)
+        phi = np.tanh(eta_phi)
+        rho = np.exp(eta_rho)
         omphi2 = 1.0 - phi * phi
 
         polar_u = polar_decompose(x_u)
         polar_v = polar_decompose(x_v)
         u, v = polar_u.q, polar_v.q
-        r = y - (u * d_vec) @ v.T
+        ud = u * d_vec[:, None, :]
+        r = y - ud @ v.swapaxes(1, 2)
 
         ll, g_r, d_sig2, d_phi = ar1_loglik_grad(r, phi, sig2)
 
-        kern = se_kernel(SeKernelParams(grid=grid, rho=rho, nugget=nugget))
-        kinv_xv = kern.solve(x_v)
-        lmn_v = (
-            -0.5 * p * k * LOG_2PI
-            - 0.5 * k * kern.logdet()
-            - 0.5 * float(np.sum(x_v * kinv_xv))
-        )
-        lmn_u = -0.5 * n * k * LOG_2PI - 0.5 * float(np.sum(x_u * x_u))
+        logdet, kinv_xv, d_rho_mn = kernel_terms(rho, x_v)
+        lmn_v = -0.5 * p * k * LOG_2PI - 0.5 * k * logdet - 0.5 * np.sum(x_v * kinv_xv, axis=(1, 2))
+        lmn_u = -0.5 * n * k * LOG_2PI - 0.5 * np.sum(x_u * x_u, axis=(1, 2))
 
         lp_rho = alpha * np.log(beta) - gammaln(alpha) - (alpha + 1) * np.log(rho) - beta / rho
         lp_phi = -np.log(np.pi) - 0.5 * np.log(omphi2)
@@ -216,17 +247,16 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
             - (a_sig + 1) * np.log(sig2)
             - b_sig / sig2
         )
-        lp_d = float(
-            np.sum(0.5 * np.log(2.0 / (np.pi * tau2)) - d_vec**2 / (2.0 * tau2))
-        )
-        jac = float(np.sum(eta_d)) + eta_sigma + np.log(omphi2) + eta_rho
-        val = ll + lmn_v + lmn_u + lp_rho + lp_phi + lp_sig + lp_d + jac
+        lp_d = np.sum(0.5 * np.log(2.0 / (np.pi * tau2)) - d_vec**2 / (2.0 * tau2), axis=1)
+        jac = np.sum(eta_d, axis=1) + eta_sigma + np.log(omphi2) + eta_rho
+        val[ok] = ll + lmn_v + lmn_u + lp_rho + lp_phi + lp_sig + lp_d + jac
 
         # likelihood gradients through the low-rank fit
         g_m = -g_r
-        g_u = g_m @ (v * d_vec)
-        g_v = g_m.T @ (u * d_vec)
-        g_d_ll = np.sum(u * (g_m @ v), axis=0)
+        g_mv = g_m @ v
+        g_u = g_mv * d_vec[:, None, :]
+        g_v = g_m.swapaxes(1, 2) @ ud
+        g_d_ll = np.sum(u * g_mv, axis=1)
         g_xu = polar_u.vjp(g_u) - x_u
         g_xv = polar_v.vjp(g_v) - kinv_xv
         g_eta_d = (g_d_ll - d_vec / tau2) * d_vec + 1.0
@@ -237,21 +267,21 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
         d_phi_total = d_phi + phi / omphi2
         g_eta_phi = d_phi_total * omphi2 - 2.0 * phi
 
-        # dK/drho has entries K_ij * (t_i - t_j)^2 / rho^3 (nugget drops out)
-        kprime = kern.mat * (sqdist / rho**3)
-        kinv = kern.solve(np.eye(p))
-        d_rho_mn = -0.5 * k * float(np.sum(kinv * kprime)) + 0.5 * float(
-            np.sum((kinv_xv @ kinv_xv.T) * kprime)
-        )
         d_rho_total = d_rho_mn - (alpha + 1.0) / rho + beta / rho**2
         g_eta_rho = d_rho_total * rho + 1.0
 
-        grad = np.concatenate(
-            [g_xu.ravel(), g_xv.ravel(), g_eta_d, [g_eta_sigma, g_eta_phi, g_eta_rho]]
+        grad[ok] = np.concatenate(
+            [
+                g_xu.reshape(-1, n * k),
+                g_xv.reshape(-1, p * k),
+                g_eta_d,
+                np.column_stack([g_eta_sigma, g_eta_phi, g_eta_rho]),
+            ],
+            axis=1,
         )
         return val, grad
 
-    return UnconstrainedTarget(dim=dim, value_and_grad=value_and_grad)
+    return UnconstrainedTarget(dim=dim, value_and_grad=batched(value_and_grad))
 
 
 def fpca_initial_points(data: FpcaData, hyper: FpcaHyper, chains: int, seed: int, jitter: float = 0.05):

@@ -104,6 +104,9 @@ class TestEigenmodelCommand:
         meta = json.loads((out1 / "run_meta.json").read_text())
         assert meta["seed"] == 5
         assert len(meta["divergences"]) == 2
+        # one initial gradient, then at least one per transition
+        assert len(meta["grad_evals"]) == 2
+        assert all(g >= 1 + 150 + 150 for g in meta["grad_evals"])
         qlq = np.loadtxt(out1 / "qlq_mean.csv", delimiter=",", skiprows=1)
         assert qlq.shape == (8, 8)
         np.testing.assert_allclose(qlq, qlq.T, atol=1e-12)
@@ -281,7 +284,7 @@ class TestFpcaCommand:
 
 class TestInputErrors:
     @pytest.mark.parametrize(
-        "command, flags, config, threads",
+        "command, flags, config, nan_column",
         [
             ("eigenmodel", ["--samples", "50"], None, None),
             ("eigenmodel", ["--samples", "0"], None, None),
@@ -289,27 +292,28 @@ class TestInputErrors:
             ("eigenmodel", [], "chains = two\n", None),
             ("eigenmodel", ["--k", "12"], None, None),
             ("fpca", ["--k", "6"], None, None),
-            ("eigenmodel", [], None, "x"),
+            ("fpca", ["--stride", "2"], None, 2),
+            ("fpca", ["--stride", "2"], None, 3),
         ],
         ids=["few-samples", "zero-samples", "zero-chains", "config-type", "k-above-p",
-             "fpca-k-too-large", "polar-threads"],
+             "fpca-k-too-large", "nan-kept-day", "nan-dropped-day"],
     )
     def test_exit_1_before_sampling(
-        self, tmp_path, monkeypatch, capsys, command, flags, config, threads
+        self, tmp_path, monkeypatch, capsys, command, flags, config, nan_column
     ):
         def no_sampling(*args, **kwargs):
             raise AssertionError("run_chains reached on bad input")
 
         monkeypatch.setattr(cli, "run_chains", no_sampling)
-        if threads is None:
-            monkeypatch.delenv("POLAR_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("POLAR_THREADS", threads)
         data = tmp_path / "in.csv"
         if command == "eigenmodel":
             write_adjacency(data, p=10, seed=3)
         else:
             write_fpca_csv(data, n=6, p=24, seed=3)
+        if nan_column is not None:
+            rows = [line.split(",") for line in data.read_text().splitlines()]
+            rows[1][nan_column] = "nan"
+            data.write_text("\n".join(",".join(r) for r in rows) + "\n")
         out = tmp_path / "o"
         argv = [command, str(data), *flags, "--out", str(out)]
         if config is not None:
@@ -317,8 +321,20 @@ class TestInputErrors:
             cfg.write_text(config)
             argv += ["--config", str(cfg)]
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if nan_column is not None:
+            assert f"row 2, column {nan_column + 1}" in err
         assert not list(out.glob("*.csv"))
+
+    def test_thread_variable_ignored(self, tmp_path, monkeypatch):
+        # chains run as one batch in one thread; the former thread cap is not read
+        monkeypatch.setenv("POLAR_THREADS", "x")
+        adj = tmp_path / "adj.csv"
+        write_adjacency(adj, p=6, seed=3)
+        argv = ["eigenmodel", str(adj), "--k", "1", "--chains", "1", "--warmup", "100",
+                "--samples", "100", "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
 
 
 class TestCheckCommand:

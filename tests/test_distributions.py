@@ -223,6 +223,15 @@ class TestAr1:
             expected, abs=1e-10
         )
 
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(14)
+        r = rng.standard_normal((3, 4, 6))
+        phi, sig2 = np.array([0.2, -0.5, 0.9]), np.array([0.7, 1.0, 2.5])
+        stacked = ar1_loglik_grad(r, phi, sig2)
+        for i in range(3):
+            for got, want in zip(stacked, ar1_loglik_grad(r[i], phi[i], sig2[i])):
+                np.testing.assert_allclose(got[i], want, rtol=1e-13)
+
     def test_phi_zero_is_iid(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((3, 6))

@@ -143,6 +143,30 @@ class TestTarget:
                 assert target.log_density(theta2) == pytest.approx(base, abs=1e-12)
 
 
+class TestBatch:
+    def test_rows_equal_single_calls(self):
+        data, rng = make_data(seed=20, p=12, k=2)
+        target = eigenmodel_target(data, k=2)
+        theta = rng.standard_normal((3, target.dim))
+        val, grad = target.value_and_grad(theta)
+        assert val.shape == (3,) and grad.shape == (3, target.dim)
+        for i in range(3):
+            v1, g1 = target.value_and_grad(theta[i])
+            assert isinstance(v1, float)
+            assert v1 == pytest.approx(val[i], rel=1e-12)
+            np.testing.assert_allclose(g1, grad[i], rtol=1e-12, atol=1e-12)
+
+    def test_runaway_row_is_minus_inf_alone(self):
+        data, rng = make_data(seed=21, p=8, k=2)
+        target = eigenmodel_target(data, k=2)
+        theta = rng.standard_normal((3, target.dim))
+        theta[1, 0] = 1e9
+        val, grad = target.value_and_grad(theta)
+        assert val[1] == -np.inf and not np.any(grad[1])
+        for i in (0, 2):
+            assert val[i] == target.log_density(theta[i])
+
+
 class TestSimulator:
     def test_edge_rate_tracks_intercept(self):
         rng = np.random.default_rng(5)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -192,6 +194,35 @@ class TestTarget:
             val, grad = target.value_and_grad(theta)
             assert np.isfinite(val)
             assert np.all(np.isfinite(grad))
+
+
+class TestBatch:
+    def test_rows_equal_single_calls(self):
+        target, rng = TestTarget.make_target(seed=17)
+        theta = 0.5 * rng.standard_normal((3, target.dim))
+        val, grad = target.value_and_grad(theta)
+        assert val.shape == (3,) and grad.shape == (3, target.dim)
+        for i in range(3):
+            v1, g1 = target.value_and_grad(theta[i])
+            assert isinstance(v1, float)
+            assert v1 == pytest.approx(val[i], rel=1e-12)
+            np.testing.assert_allclose(g1, grad[i], rtol=1e-12, atol=1e-12)
+
+    def test_phi_overflow_is_minus_inf(self):
+        # at atanh(phi) = 19.5, tanh rounds to 1 and the AR(1) innovation
+        # variance sigma2 (1 - phi^2) is zero
+        target, rng = TestTarget.make_target(seed=18)
+        theta = 0.5 * rng.standard_normal((3, target.dim))
+        theta[1, -2] = 19.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val, grad = target.value_and_grad(theta[1])
+            assert val == -np.inf and not np.any(grad)
+            val, grad = target.value_and_grad(theta)
+        assert val[1] == -np.inf and not np.any(grad[1])
+        for i in (0, 2):
+            assert np.isfinite(val[i])
+            assert val[i] == target.log_density(theta[i])
 
 
 class TestSimulator:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polarexp import hmc
 from polarexp.expansion import UnconstrainedTarget
 from polarexp.hmc import (
     ChainInitializationError,
@@ -9,30 +10,59 @@ from polarexp.hmc import (
     run_chains,
 )
 from polarexp.matcore import DegenerateMatrixError
+from polarexp.models import eigenmodel_initial_points, eigenmodel_target, simulate_eigenmodel
 
 
 def gaussian_target(dim, cov=None):
-    if cov is None:
-        return UnconstrainedTarget(
-            dim=dim, value_and_grad=lambda x: (-0.5 * float(x @ x), -x)
-        )
-    prec = np.linalg.inv(cov)
+    """N(0, cov) on one state (dim,) or on a batch of states (chains, dim)."""
+    prec = np.eye(dim) if cov is None else np.linalg.inv(cov)
 
     def vag(x):
-        px = prec @ x
-        return -0.5 * float(x @ px), -px
+        px = x @ prec
+        return -0.5 * np.sum(x * px, axis=-1), -px
 
     return UnconstrainedTarget(dim=dim, value_and_grad=vag)
 
 
+def funnel_target():
+    """Neal's funnel: v ~ N(0, 9), x | v ~ N(0, e^v), 9 x-coordinates; one state at a time."""
+
+    def one(z):
+        v, x = np.clip(z[0], -60.0, 60.0), z[1:]
+        val = -0.5 * v * v / 9.0 - 0.5 * float(x @ x) * np.exp(-v) - 4.5 * v
+        gx = -x * np.exp(-v)
+        gv = -v / 9.0 + 0.5 * float(x @ x) * np.exp(-v) - 4.5
+        return val, np.concatenate([[gv], gx])
+
+    def vag(z):
+        pairs = [one(row) for row in z]
+        return np.array([val for val, _ in pairs]), np.array([g for _, g in pairs])
+
+    return UnconstrainedTarget(dim=10, value_and_grad=vag)
+
+
+def counting(target):
+    """target, with a list of the number of rows in each call it gets."""
+    rows = []
+
+    def vag(x):
+        rows.append(x.shape[0])
+        return target.value_and_grad(x)
+
+    return UnconstrainedTarget(dim=target.dim, value_and_grad=vag), rows
+
+
 def energy_error(tgt, q, m, eps, steps, mass=None):
-    """Run the sampler's leapfrog from (q, m); returns (q, m, Hamiltonian error)."""
+    """The sampler's leapfrog from (q, m), as a batch of one; returns (q, m, energy error)."""
     mass = np.ones_like(q) if mass is None else mass
     val0, grad0 = tgt.value_and_grad(q)
-    q1, m1, val1, _ = leapfrog(tgt, q, m, grad0, eps, steps, mass)
+    q1, m1, val1, _, diverged = leapfrog(
+        tgt, q[None], m[None], grad0[None], eps, steps, mass[None]
+    )
+    assert not diverged[0]
     h0 = -val0 + 0.5 * float(np.sum(m * m / mass))
-    h1 = -val1 + 0.5 * float(np.sum(m1 * m1 / mass))
-    return q1, m1, h1 - h0
+    h1 = -val1[0] + 0.5 * float(np.sum(m1[0] * m1[0] / mass))
+    return q1[0], m1[0], h1 - h0
 
 
 class TestLeapfrog:
@@ -83,29 +113,64 @@ class TestLeapfrog:
         assert de == pytest.approx(de_unit, abs=1e-14)
 
     def test_one_gradient_per_step(self):
-        calls = []
-
-        def vag(x):
-            calls.append(x)
-            return -0.5 * float(x @ x), -x
-
-        tgt = UnconstrainedTarget(dim=2, value_and_grad=vag)
-        q0 = np.array([0.3, -0.2])
-        leapfrog(tgt, q0, np.ones(2), -q0, 0.1, 5, np.ones(2))
-        assert len(calls) == 5
+        # one gradient row per chain and step; a finished chain leaves the batch
+        tgt, rows = counting(gaussian_target(2))
+        q0 = np.array([[0.3, -0.2], [0.1, 0.0], [-0.5, 0.4]])
+        steps = np.array([5, 2, 4])
+        evals = np.zeros(3, dtype=int)
+        leapfrog(tgt, q0, np.ones((3, 2)), -q0, 0.1, steps, np.ones((3, 2)), evals)
+        assert rows == [3, 3, 2, 2, 1]
+        np.testing.assert_array_equal(evals, steps)
 
     @pytest.mark.parametrize("bad", ["nan_value", "nan_grad", "degenerate"])
     def test_divergence_reported(self, bad):
         # the trajectory's third position is past the bad boundary
         def vag(x):
-            if x[0] > 0.25:
+            val, grad = -0.5 * np.sum(x * x, axis=1), -x.copy()
+            past = x[:, 0] > 0.25
+            if np.any(past):
                 if bad == "degenerate":
                     raise DegenerateMatrixError("rank-deficient state")
-                return (np.nan, -x) if bad == "nan_value" else (0.0, x * np.nan)
-            return -0.5 * float(x @ x), -x
+                if bad == "nan_value":
+                    val[past] = np.nan
+                else:
+                    grad[past] = np.nan
+            return val, grad
 
         tgt = UnconstrainedTarget(dim=1, value_and_grad=vag)
-        assert leapfrog(tgt, np.zeros(1), np.ones(1), np.zeros(1), 0.1, 10, np.ones(1)) is None
+        one = np.ones((1, 1))
+        end = leapfrog(tgt, np.zeros((1, 1)), one, np.zeros((1, 1)), 0.1, 10, one)
+        assert end[-1][0]
+
+    def test_degenerate_row_diverges_alone(self):
+        # chain 1 crosses into a degenerate region on its third step; the
+        # batched call raises there, and the other chains carry on unchanged
+        gauss = gaussian_target(2)
+
+        def vag(x):
+            if np.any(x[:, 0] > 0.25):
+                raise DegenerateMatrixError("rank-deficient state")
+            return gauss.value_and_grad(x)
+
+        tgt, rows = counting(UnconstrainedTarget(dim=2, value_and_grad=vag))
+        q0 = np.array([[-1.0, 0.5], [0.0, 0.0], [-0.8, -0.3]])
+        m0 = np.array([[0.2, 0.0], [1.0, 1.0], [0.5, -1.0]])
+        evals = np.zeros(3, dtype=int)
+        q, m, val, grad, diverged = leapfrog(
+            tgt, q0, m0, -q0, 0.1, 10, np.ones((3, 2)), evals
+        )
+        np.testing.assert_array_equal(diverged, [False, True, False])
+        keep = [0, 2]
+        q_ref, m_ref, val_ref, grad_ref, div_ref = leapfrog(
+            gauss, q0[keep], m0[keep], -q0[keep], 0.1, 10, np.ones((2, 2))
+        )
+        assert not np.any(div_ref)
+        np.testing.assert_array_equal(q[keep], q_ref)
+        np.testing.assert_array_equal(m[keep], m_ref)
+        np.testing.assert_array_equal(val[keep], val_ref)
+        np.testing.assert_array_equal(grad[keep], grad_ref)
+        # the failing call is evaluated again row by row
+        assert sum(rows) == evals.sum() == 3 * 3 + 3 + 2 * 7
 
 
 class TestRunChains:
@@ -143,28 +208,19 @@ class TestRunChains:
         assert not np.array_equal(outs[0].draws, outs[1].draws)
 
     def test_divergences_counted_on_pathological_target(self):
-        # Neal's funnel: v ~ N(0, 9), x|v ~ N(0, e^v); tight neck regions
-        # blow up fixed-step trajectories and should register as divergences
-        def vag(z):
-            v, x = np.clip(z[0], -60.0, 60.0), z[1:]
-            val = -0.5 * v * v / 9.0 - 0.5 * float(x @ x) * np.exp(-v) - 4.5 * v
-            gx = -x * np.exp(-v)
-            gv = -v / 9.0 + 0.5 * float(x @ x) * np.exp(-v) - 4.5
-            return val, np.concatenate([[gv], gx])
-
-        tgt = UnconstrainedTarget(dim=10, value_and_grad=vag)
+        # Neal's funnel: tight neck regions blow up fixed-step trajectories
+        # and should register as divergences
         cfg = HmcConfig(
             chains=1, warmup=100, samples=500, init_step_size=2.0,
             max_energy_error=25.0, seed=15,
         )
-        out = run_chains(tgt, cfg)[0]
+        out = run_chains(funnel_target(), cfg)[0]
         assert 0 < out.divergences <= 500
 
     def test_all_divergent_raises_initialization_error(self):
-        def vag(x):
-            return np.inf if np.any(x != 0) else 0.0, np.full_like(x, np.nan)
-
-        tgt = UnconstrainedTarget(dim=3, value_and_grad=lambda x: (np.nan, x * np.nan))
+        tgt = UnconstrainedTarget(
+            dim=3, value_and_grad=lambda x: (np.full(x.shape[0], np.nan), x * np.nan)
+        )
         cfg = HmcConfig(chains=1, warmup=50, samples=10, seed=16)
         with pytest.raises(ChainInitializationError):
             run_chains(tgt, cfg)
@@ -196,6 +252,26 @@ class TestRunChains:
         with pytest.raises(ValueError):
             HmcConfig(max_leapfrog=0)
 
+    @pytest.mark.parametrize("warmup", [1, 5, 9])
+    def test_short_warmup_step_size_is_tail_mean(self, warmup, monkeypatch):
+        # fewer warmup iterations than the 10-iterate tail: the frozen step
+        # size averages the log step sizes of all of them
+        seen = []
+        update = hmc._DualAveraging.update
+
+        def recording(da, accept_prob):
+            update(da, accept_prob)
+            seen.append(da.log_eps.copy())
+
+        monkeypatch.setattr(hmc._DualAveraging, "update", recording)
+        cfg = HmcConfig(chains=2, warmup=warmup, samples=10, seed=25)
+        outs = run_chains(gaussian_target(3), cfg)
+        assert len(seen) == warmup
+        for c, out in enumerate(outs):
+            assert np.isfinite(out.step_size)
+            expected = np.exp(np.mean([log_eps[c] for log_eps in seen]))
+            assert out.step_size == pytest.approx(expected, rel=1e-12)
+
     def test_mass_adaptation_on_anisotropic_target(self):
         # scales 1 and 100: the adapted (inverse-variance) mass should be much
         # smaller for the wide coordinate
@@ -204,3 +280,38 @@ class TestRunChains:
         out = run_chains(gaussian_target(2, cov), cfg)[0]
         assert out.mass_diag[0] / out.mass_diag[1] > 10.0
         assert out.draws[:, 1].var() == pytest.approx(100.0, rel=0.25)
+
+
+class TestBatch:
+    def test_chain_zero_does_not_depend_on_chain_count(self):
+        for chains in (1, 4):
+            cfg = HmcConfig(chains=chains, warmup=200, samples=300, seed=21)
+            out = run_chains(gaussian_target(5, np.diag([1.0, 2.0, 0.5, 3.0, 1.0])), cfg)[0]
+            if chains == 1:
+                ref = out
+        np.testing.assert_allclose(out.draws, ref.draws, rtol=1e-12, atol=1e-12)
+        assert out.step_size == pytest.approx(ref.step_size, rel=1e-12)
+
+    def test_chain_zero_does_not_depend_on_chain_count_eigenmodel(self):
+        rng = np.random.default_rng(22)
+        q = np.linalg.qr(rng.standard_normal((10, 2)))[0]
+        data = simulate_eigenmodel(10, -0.3, q, np.array([4.0, -3.0]) * np.sqrt(10), rng)
+        target = eigenmodel_target(data, k=2)
+        outs = {}
+        for chains in (1, 4):
+            cfg = HmcConfig(chains=chains, warmup=100, samples=100, seed=23)
+            inits = eigenmodel_initial_points(data, 2, chains, cfg.seed)
+            outs[chains] = run_chains(target, cfg, init=inits)[0]
+        np.testing.assert_allclose(outs[4].draws, outs[1].draws, rtol=1e-12, atol=1e-12)
+        assert outs[4].step_size == pytest.approx(outs[1].step_size, rel=1e-12)
+
+    def test_grad_evals_count_every_row(self):
+        # the rows the target saw, initial points included, are the chains'
+        # counts: a chain whose trajectory ended was not evaluated further
+        tgt, rows = counting(funnel_target())
+        cfg = HmcConfig(chains=3, warmup=100, samples=100, init_step_size=2.0,
+                        max_energy_error=25.0, seed=24)
+        outs = run_chains(tgt, cfg)
+        assert sum(o.divergences for o in outs) > 0
+        assert sum(o.grad_evals for o in outs) == sum(rows)
+        assert max(rows) == 3 and min(rows) == 1

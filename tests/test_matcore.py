@@ -8,6 +8,7 @@ from polarexp.matcore import (
     DegenerateMatrixError,
     IllConditionedError,
     SpdMatrix,
+    SvdConvergenceError,
     log_multigamma,
     log_polar_jacobian,
     polar_decompose,
@@ -114,6 +115,34 @@ class TestPolarDecompose:
             for _ in range(1000):
                 q = random_stiefel(rng, p, k)
                 assert best <= np.linalg.norm(x - q) + 1e-12
+
+
+class TestStacks:
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(30)
+        x = rng.standard_normal((4, 7, 3))
+        g = rng.standard_normal((4, 7, 3))
+        pair = polar_decompose(x)
+        grads = pair.vjp(g)
+        for i in range(4):
+            one = polar_decompose(x[i])
+            np.testing.assert_allclose(pair.q[i], one.q, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(grads[i], one.vjp(g[i]), rtol=0, atol=1e-13)
+
+    def test_one_degenerate_matrix_raises(self):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((3, 5, 2))
+        x[1, :, 1] = 2.0 * x[1, :, 0]
+        with pytest.raises(DegenerateMatrixError):
+            polar_decompose(x)
+
+    def test_lapack_failure_is_svd_convergence_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(SvdConvergenceError):
+            thin_svd(np.ones((4, 2, 2)))
 
 
 class TestLogMultigamma:
