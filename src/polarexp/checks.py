@@ -17,6 +17,15 @@ from .models import (
     simulate_fpca,
 )
 
+QUADRATURE_ANGLES = 72
+QUADRATURE_R_MAX = 12.0
+GRADIENT_POINTS = 5
+GRADIENT_SEED = 20240301
+ESS_PHI = 0.5
+ESS_DRAWS = 100_000
+ESS_SEED = 7
+ESS_RTOL = 0.10
+
 
 def uniform_circle_target() -> StiefelTarget:
     """Uniform density on V(1, 2) (the circle), w.r.t. the probability measure."""
@@ -27,7 +36,7 @@ def uniform_circle_target() -> StiefelTarget:
     return StiefelTarget(p=2, k=1, value_and_grad=value_and_grad)
 
 
-def quadrature_mass_check(n_angles: int = 72, r_max: float = 12.0):
+def quadrature_mass_check():
     """2-D quadrature of the expanded uniform-circle density.
 
     Integrates in polar coordinates: a radial quad per angle, then the
@@ -48,10 +57,10 @@ def quadrature_mass_check(n_angles: int = 72, r_max: float = 12.0):
             except DegenerateMatrixError:
                 return 0.0
 
-        val, _ = quad(integrand, 0.0, r_max, epsabs=1e-10, epsrel=1e-10)
+        val, _ = quad(integrand, 0.0, QUADRATURE_R_MAX, epsabs=1e-10, epsrel=1e-10)
         return val
 
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    thetas = np.linspace(0.0, 2.0 * np.pi, QUADRATURE_ANGLES, endpoint=False)
     marginal = np.array([radial(t) for t in thetas])
     mass = float(np.mean(marginal) * 2.0 * np.pi)
     marginal_dev = float(np.max(np.abs(marginal - 1.0 / (2.0 * np.pi))))
@@ -63,59 +72,42 @@ def quadrature_mass_check(n_angles: int = 72, r_max: float = 12.0):
     }
 
 
-def gradient_checks(n_points: int = 5, seed: int = 20240301, tol: float = 1e-5):
+def gradient_checks():
     """Finite-difference checks of both model targets at random points."""
-    rng = np.random.default_rng(seed)
-    results = {}
+    rng = np.random.default_rng(GRADIENT_SEED)
+
+    def worst_of(target, scale):
+        reports = [check_gradient(target, scale * rng.standard_normal(target.dim))
+                   for _ in range(GRADIENT_POINTS)]
+        worst = max(reports, key=lambda rep: rep.max_rel_error)
+        return {
+            "max_rel_error": worst.max_rel_error,
+            "worst_coordinate": worst.worst_coordinate,
+            "passed": worst.ok,
+        }
 
     q0 = np.linalg.qr(rng.standard_normal((12, 2)))[0]
     data = simulate_eigenmodel(12, 0.0, q0, np.array([4.0, -3.0]), rng)
-    target = eigenmodel_target(data, k=2)
-    worst = 0.0
-    worst_coord = -1
-    for _ in range(n_points):
-        x = 0.8 * rng.standard_normal(target.dim)
-        rep = check_gradient(target, x)
-        if rep.max_rel_error > worst:
-            worst, worst_coord = rep.max_rel_error, rep.worst_coordinate
-    results["eigenmodel"] = {
-        "max_rel_error": worst,
-        "worst_coordinate": worst_coord,
-        "passed": bool(worst <= tol),
-    }
-
+    results = {"eigenmodel": worst_of(eigenmodel_target(data, k=2), 0.8)}
     grid = np.linspace(1.0, 365.0, 16)
     fdata = simulate_fpca(6, grid, 2, [8.0, 5.0], 0.5, 0.3, 40.0, rng)
-    hyper = fpca_empirical_bayes(fdata.y, 2)
-    ftarget = fpca_target(fdata, hyper)
-    worst = 0.0
-    worst_coord = -1
-    for _ in range(n_points):
-        x = 0.5 * rng.standard_normal(ftarget.dim)
-        rep = check_gradient(ftarget, x)
-        if rep.max_rel_error > worst:
-            worst, worst_coord = rep.max_rel_error, rep.worst_coordinate
-    results["fpca"] = {
-        "max_rel_error": worst,
-        "worst_coordinate": worst_coord,
-        "passed": bool(worst <= tol),
-    }
+    results["fpca"] = worst_of(fpca_target(fdata, fpca_empirical_bayes(fdata.y, 2)), 0.5)
     return results
 
 
-def ess_oracle_check(phi: float = 0.5, n: int = 100_000, seed: int = 7, rtol: float = 0.10):
+def ess_oracle_check():
     """ESS of a synthetic AR(1) chain against (1-phi)/(1+phi)."""
-    rng = np.random.default_rng(seed)
-    chain = sample_ar1(1, n, Ar1Params(phi=phi, sigma2=1.0), rng)[0]
-    ratio = ess(chain) / n
-    expected = (1.0 - phi) / (1.0 + phi)
+    rng = np.random.default_rng(ESS_SEED)
+    chain = sample_ar1(1, ESS_DRAWS, Ar1Params(phi=ESS_PHI, sigma2=1.0), rng)[0]
+    ratio = ess(chain) / ESS_DRAWS
+    expected = (1.0 - ESS_PHI) / (1.0 + ESS_PHI)
     rel = abs(ratio - expected) / expected
     return {
-        "phi": phi,
+        "phi": ESS_PHI,
         "ess_per_draw": ratio,
         "expected": expected,
         "rel_error": rel,
-        "passed": bool(rel <= rtol),
+        "passed": bool(rel <= ESS_RTOL),
     }
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import MIN_DRAWS, SummaryRow, summarize
-from .distributions import MacgParams, sample_macg, sample_uniform_stiefel
+from .distributions import sample_macg, sample_uniform_stiefel
 from .hmc import ChainInitializationError, HmcConfig, run_chains
 from .matcore import SpdMatrix, polar_decompose, thin_svd
 from .models import (
@@ -38,7 +38,10 @@ from .models import (
     fpca_empirical_bayes,
     fpca_initial_points,
     fpca_point_estimate_v,
+    fpca_scalars,
     fpca_target,
+    unpack_eigen_params,
+    unpack_fpca_params,
 )
 
 
@@ -84,6 +87,12 @@ def _load_config_file(path):
     return values
 
 
+# the sampler options both commands take, with HmcConfig's defaults
+_HMC_DEFAULTS = {
+    name: getattr(HmcConfig(), name)
+    for name in ("seed", "chains", "warmup", "samples", "target_accept")
+}
+
 _HMC_OPTION_TYPES = {
     "seed": int,
     "chains": int,
@@ -119,13 +128,7 @@ def _merge_config(args, defaults):
 def _hmc_config(merged) -> HmcConfig:
     """Sampler settings from the merged options; every bad value is an input error."""
     try:
-        config = HmcConfig(
-            chains=merged["chains"],
-            warmup=merged["warmup"],
-            samples=merged["samples"],
-            target_accept=merged["target_accept"],
-            seed=merged["seed"],
-        )
+        config = HmcConfig(**{name: merged[name] for name in _HMC_DEFAULTS})
     except ValueError as exc:
         raise IngestionError(str(exc)) from None
     # the ESS and R-hat summaries need this many draws; fail now, not after sampling
@@ -147,6 +150,7 @@ def _write_meta(out_dir, merged, config, outputs, wall_time, extra=None):
         "accept_rates": [o.accept_rate for o in outputs],
         "step_sizes": [o.step_size for o in outputs],
         "grad_evals": [o.grad_evals for o in outputs],
+        "warmup_step_sizes": [o.step_size_trace.tolist() for o in outputs],
         "wall_time_seconds": wall_time,
     }
     if extra:
@@ -231,8 +235,8 @@ def cmd_demo(args) -> int:
         )
         if diag.size != p:
             raise IngestionError(f"--sigma-diag needs {p} entries, got {diag.size}")
-        params = MacgParams(sigma=SpdMatrix(np.diag(diag)))
-        draws = np.array([sample_macg(params, k, rng).ravel() for _ in range(args.draws)])
+        sigma = SpdMatrix(np.diag(diag))
+        draws = np.array([sample_macg(sigma, k, rng).ravel() for _ in range(args.draws)])
     else:
         draws = np.array(
             [sample_uniform_stiefel(p, k, rng).ravel() for _ in range(args.draws)]
@@ -258,14 +262,7 @@ def cmd_demo(args) -> int:
 
 # ---------------------------------------------------------------- eigenmodel
 
-_EIGEN_DEFAULTS = {
-    "seed": 0,
-    "chains": 4,
-    "warmup": 1000,
-    "samples": 5000,
-    "target_accept": 0.8,
-    "k": 3,
-}
+_EIGEN_DEFAULTS = {**_HMC_DEFAULTS, "k": 3}
 
 
 def cmd_eigenmodel(args) -> int:
@@ -284,17 +281,13 @@ def cmd_eigenmodel(args) -> int:
     wall = time.perf_counter() - t0
 
     n_chains, n_iter = config.chains, config.samples
-    draws = np.stack([o.draws for o in outputs])
-    c_draws = draws[:, :, 0]
-    lam_draws = draws[:, :, 1 + p * k :]
-    q_draws = polar_decompose(draws[:, :, 1 : 1 + p * k].reshape(-1, p, k)).q
+    c_draws, x_draws, lam_draws = unpack_eigen_params(np.stack([o.draws for o in outputs]), p, k)
+    q_draws = polar_decompose(x_draws.reshape(-1, p, k)).q
     qlq_mean = np.einsum("tij,tj,tlj->il", q_draws, lam_draws.reshape(-1, k), q_draws,
                          optimize=True) / (n_chains * n_iter)
 
     # resolve the sign/permutation symmetry against a common reference
-    q_aligned, lam_aligned = align_eigen_draws(
-        q_draws, lam_draws.reshape(-1, k)
-    )
+    lam_aligned = align_eigen_draws(q_draws, lam_draws.reshape(-1, k))[1]
     lam_aligned = lam_aligned.reshape(n_chains, n_iter, k)
 
     lam_names = [f"lambda_{j + 1}" for j in range(k)]
@@ -308,17 +301,7 @@ def cmd_eigenmodel(args) -> int:
 
 # ---------------------------------------------------------------- fpca
 
-_FPCA_DEFAULTS = {
-    "seed": 0,
-    "chains": 4,
-    "warmup": 1000,
-    "samples": 5000,
-    "target_accept": 0.8,
-    "k": 3,
-    "stride": 1,
-    "thin": 50,
-    "pc_multiple": None,
-}
+_FPCA_DEFAULTS = {**_HMC_DEFAULTS, "k": 3, "stride": 1, "thin": 50, "pc_multiple": None}
 
 
 def cmd_fpca(args) -> int:
@@ -349,13 +332,12 @@ def cmd_fpca(args) -> int:
     wall = time.perf_counter() - t0
 
     n_chains, n_iter = config.chains, config.samples
-    draws = np.stack([o.draws for o in outputs])
-    u = polar_decompose(draws[:, :, : n * k].reshape(-1, n, k)).q
-    v = polar_decompose(draws[:, :, n * k : (n + p) * k].reshape(-1, p, k)).q
-    eta = draws[:, :, (n + p) * k :]  # log d_1..k, log sigma2, atanh phi, log rho
-    scalar_draws = np.exp(eta)  # d_1..k, sigma2, phi, rho
-    scalar_draws[:, :, k + 1] = np.tanh(eta[:, :, k + 1])
-    d = scalar_draws[:, :, :k].reshape(-1, k)
+    x_u, x_v, *eta = unpack_fpca_params(np.stack([o.draws for o in outputs]), n, p, k)
+    u = polar_decompose(x_u.reshape(-1, n, k)).q
+    v = polar_decompose(x_v.reshape(-1, p, k)).q
+    d, sigma2, phi, rho = fpca_scalars(*eta)
+    scalar_draws = np.concatenate([d, np.stack([sigma2, phi, rho], axis=-1)], axis=-1)
+    d = d.reshape(-1, k)
     mean_fit = np.einsum("tij,tj,tlj->il", u, d, v, optimize=True) / (n_chains * n_iter)
     thin = max(1, merged["thin"])
     # every thin-th iteration of each chain goes into the curve exports
@@ -365,14 +347,15 @@ def cmd_fpca(args) -> int:
     _, _, v_classical = thin_svd(data.y)
     v_classical = v_classical[:, :k]
 
-    u_al, d_al, v_al = align_fpca_draws(u[kept], d[kept], v[kept], reference=v_hat)
-    # align the per-iteration d draws for summaries (signs irrelevant for d)
+    _, d_al, v_al = align_fpca_draws(u[kept], d[kept], v[kept], reference=v_hat)
+    # the default PC multiples use the aligned, thinned d draws; summary.csv
+    # reports the unaligned per-iteration draws
     d_mean = d_al.mean(axis=0)
 
     for name, v in (("v_estimate.csv", v_hat), ("v_classical.csv", v_classical)):
         _write_csv(out / name, ["day", *[f"pc_{j + 1}" for j in range(k)]],
                    np.column_stack([grid, v]))
-    _write_chain_table(out / "rho_draws.csv", ["rho"], scalar_draws[:, :, -1:])
+    _write_chain_table(out / "rho_draws.csv", ["rho"], rho[:, :, None])
 
     pc_idx = min(3, k) - 1  # third principal component when available
     v3_rows = []

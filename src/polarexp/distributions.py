@@ -18,13 +18,6 @@ LOG_2PI = np.log(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
-class MacgParams:
-    """Matrix angular central Gaussian with row covariance sigma."""
-
-    sigma: SpdMatrix
-
-
-@dataclass(frozen=True)
 class Ar1Params:
     """Stationary AR(1): lag-1 correlation phi, marginal variance sigma2."""
 
@@ -65,24 +58,24 @@ def sample_uniform_stiefel(p: int, k: int, rng: np.random.Generator) -> np.ndarr
     return polar_decompose(x).q
 
 
-def log_macg_density(q, params: MacgParams) -> float:
-    """Log MACG(sigma) density of q, w.r.t. the uniform probability measure.
+def log_macg_density(q, sigma: SpdMatrix) -> float:
+    """Log density of q under the matrix angular central Gaussian MACG(sigma).
 
+    Taken w.r.t. the uniform probability measure:
     -(k/2) log|sigma| - (p/2) log|q^T sigma^{-1} q|; zero when sigma = I.
     """
     q = np.asarray(q, dtype=float)
     p, k = q.shape
-    if params.sigma.dim != p:
+    if sigma.dim != p:
         raise ValueError("dimension mismatch between q and sigma")
-    inner = SpdMatrix(q.T @ params.sigma.solve(q))
-    return -0.5 * k * params.sigma.logdet() - 0.5 * p * inner.logdet()
+    inner = SpdMatrix(q.T @ sigma.solve(q))
+    return -0.5 * k * sigma.logdet() - 0.5 * p * inner.logdet()
 
 
-def sample_macg(params: MacgParams, k: int, rng: np.random.Generator) -> np.ndarray:
+def sample_macg(sigma: SpdMatrix, k: int, rng: np.random.Generator) -> np.ndarray:
     """Exact MACG(sigma) draw: polar factor of L Z with L = chol(sigma)."""
-    p = params.sigma.dim
-    z = rng.standard_normal((p, k))
-    return polar_decompose(params.sigma.chol @ z).q
+    z = rng.standard_normal((sigma.dim, k))
+    return polar_decompose(sigma.chol @ z).q
 
 
 def log_matrix_normal(x, sigma: SpdMatrix):
@@ -165,28 +158,32 @@ def sample_ar1(n: int, p: int, params: Ar1Params, rng: np.random.Generator) -> n
     return x
 
 
-def log_arcsine(phi: float) -> float:
-    """Standard arcsine log density on (-1, 1)."""
-    if not abs(phi) < 1.0:
-        raise ValueError(f"need |phi| < 1, got {phi}")
-    return float(-np.log(np.pi) - 0.5 * np.log1p(-phi * phi))
+def _check_support(x, inside, need):
+    if not np.all(inside):
+        raise ValueError(f"need {need}, got {x[~inside].flat[0]}")
 
 
-def log_invgamma(x: float, alpha: float, beta: float) -> float:
-    """Inverse-gamma log density with shape alpha, scale beta."""
-    if not x > 0:
-        raise ValueError(f"need x > 0, got {x}")
+def log_arcsine_grad(phi):
+    """Standard arcsine log density on (-1, 1) and its derivative in phi, elementwise."""
+    phi = np.asarray(phi, dtype=float)
+    _check_support(phi, np.abs(phi) < 1.0, "|phi| < 1")
+    return -np.log(np.pi) - 0.5 * np.log1p(-phi * phi), phi / (1.0 - phi * phi)
+
+
+def log_invgamma_grad(x, alpha: float, beta: float):
+    """Inverse-gamma log density (shape alpha, scale beta) and its derivative in x, elementwise."""
+    x = np.asarray(x, dtype=float)
+    _check_support(x, x > 0, "x > 0")
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
-    return float(
-        alpha * np.log(beta) - gammaln(alpha) - (alpha + 1) * np.log(x) - beta / x
-    )
+    val = alpha * np.log(beta) - gammaln(alpha) - (alpha + 1) * np.log(x) - beta / x
+    return val, -(alpha + 1.0) / x + beta / x**2
 
 
-def log_halfnormal(d: float, tau2: float) -> float:
-    """Half-normal log density (N(0, tau2) restricted to d > 0)."""
-    if not d > 0:
-        raise ValueError(f"need d > 0, got {d}")
+def log_halfnormal_grad(d, tau2: float):
+    """Half-normal log density (N(0, tau2) on d > 0) and its derivative in d, elementwise."""
+    d = np.asarray(d, dtype=float)
+    _check_support(d, d > 0, "d > 0")
     if not tau2 > 0:
         raise ValueError("tau2 must be positive")
-    return float(0.5 * np.log(2.0 / (np.pi * tau2)) - d * d / (2.0 * tau2))
+    return 0.5 * np.log(2.0 / (np.pi * tau2)) - d * d / (2.0 * tau2), -d / tau2

@@ -20,6 +20,10 @@ import numpy as np
 from .distributions import LOG_2PI, log_matrix_normal
 from .matcore import SpdMatrix, polar_decompose
 
+# check_gradient's base finite-difference step and its pass threshold
+FD_STEP = 1e-4
+GRADIENT_TOL = 1e-5
+
 
 @dataclass(frozen=True)
 class StiefelTarget:
@@ -144,12 +148,10 @@ class GradientReport:
 
     @property
     def ok(self) -> bool:
-        return bool(self.max_rel_error <= 1e-5)
+        return bool(self.max_rel_error <= GRADIENT_TOL)
 
 
-def check_gradient(
-    target: UnconstrainedTarget, x, step: float = 1e-4
-) -> GradientReport:
+def check_gradient(target: UnconstrainedTarget, x) -> GradientReport:
     """Compare target.grad(x) against Richardson-refined central differences."""
     x = np.asarray(x, dtype=float)
     analytic = target.value_and_grad(x)[1]
@@ -162,7 +164,7 @@ def check_gradient(
         return (target.log_density(x + e) - target.log_density(x - e)) / (2 * h)
 
     for i in range(x.size):
-        h = step * max(1.0, abs(x[i]))
+        h = FD_STEP * max(1.0, abs(x[i]))
         d1 = central(i, h)
         d2 = central(i, h / 2)
         numeric[i] = (4 * d2 - d1) / 3  # Richardson refinement

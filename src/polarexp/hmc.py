@@ -48,7 +48,6 @@ class ChainOutput:
     step_size: float
     step_size_trace: np.ndarray
     mass_diag: np.ndarray
-    seed: int
     grad_evals: int
 
 
@@ -287,7 +286,6 @@ def _run_batch(target, config, inits):
             step_size=float(eps[c]),
             step_size_trace=step_trace[c],
             mass_diag=mass[c],
-            seed=c,
             grad_evals=int(evals[c]),
         )
         for c in range(n_chains)

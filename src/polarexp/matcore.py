@@ -116,14 +116,14 @@ class PolarPair:
         return u @ h @ vt + comp @ (v / d[..., None, :]) @ vt
 
 
-def check_stiefel(q, tol: float = ORTH_TOL) -> np.ndarray:
+def check_stiefel(q) -> np.ndarray:
     """Validate that q has orthonormal columns; returns q as float64."""
     q = np.asarray(q, dtype=float)
     p, k = q.shape
     if p < k:
         raise ValueError(f"need p >= k, got {p} x {k}")
     err = np.linalg.norm(q.T @ q - np.eye(k))
-    if err > tol:
+    if err > ORTH_TOL:
         raise ValueError(f"columns are not orthonormal: ||Q^T Q - I|| = {err:.3e}")
     return q
 

@@ -12,7 +12,9 @@ The flat parameter vector is
 [vec(X_U), vec(X_V), log d_1..k, log sigma2, atanh phi, log rho],
 length n*k + p*k + k + 3; constrained scalars enter the posterior with
 their change-of-variable Jacobians so the HMC engine sees an
-unconstrained density.
+unconstrained density. Only unpack_fpca_params and pack_fpca_params know
+this layout; fpca_scalars holds the exp/tanh transforms and
+pack_fpca_params their inverses.
 """
 
 from __future__ import annotations
@@ -21,14 +23,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from ..distributions import (
     LOG_2PI,
     Ar1Params,
-    MacgParams,
     SeKernelParams,
     ar1_loglik_grad,
+    log_arcsine_grad,
+    log_halfnormal_grad,
+    log_invgamma_grad,
     sample_ar1,
     sample_macg,
     sample_uniform_stiefel,
@@ -39,6 +42,8 @@ from ..matcore import match_columns, polar_decompose, thin_svd
 
 DEFAULT_RHO_MEAN = 365.0 / (4.0 * np.pi)
 DEFAULT_RHO_SD = 5.0
+# relative scale of the per-chain jitter on the initial points
+INIT_JITTER = 0.05
 # Largest |atanh phi| whose tanh stays below 1; past it 1 - phi^2 can round to 0.
 ETA_PHI_MAX = float(np.arctanh(np.nextafter(1.0, 0.0)))
 
@@ -82,15 +87,18 @@ def center_data(y_raw, grid=None) -> FpcaData:
 
 @dataclass(frozen=True)
 class FpcaHyper:
-    """Hyperparameters; alpha/beta are the Gamma parameters for 1/rho."""
+    """Hyperparameters; alpha/beta are the Gamma parameters for 1/rho.
 
-    k: int = 3
-    nu: float = 1.0
-    s2: float = 1.0
-    tau2: float = 1.0
-    alpha: float = 35.75
-    beta: float = 1009.4
-    nugget: float = 1e-6
+    These fields are the `hyper` entry of the CLI's run_meta.json. The kernel
+    nugget is not among them: K(rho) takes SeKernelParams' default.
+    """
+
+    k: int
+    nu: float
+    s2: float
+    tau2: float
+    alpha: float
+    beta: float
 
     def __post_init__(self):
         for name in ("nu", "s2", "tau2", "alpha", "beta"):
@@ -106,20 +114,14 @@ def invgamma_from_moments(mean: float, sd: float):
     return alpha, beta
 
 
-def fpca_empirical_bayes(
-    y,
-    k: int,
-    rho_mean: float = DEFAULT_RHO_MEAN,
-    rho_sd: float = DEFAULT_RHO_SD,
-    nugget: float = 1e-6,
-) -> FpcaHyper:
+def fpca_empirical_bayes(y, k: int) -> FpcaHyper:
     """Empirical-Bayes hyperparameters from the centered data matrix.
 
     The rank-k truncated SVD Yhat sets the residual variance (prior mode of
     sigma2 via nu=1, s2 = 3 * sigma2_hat) and tau2 = Tr(Yhat^T Yhat)/k so the
     prior expectation of sum d_i^2 matches the captured energy. The
-    rho prior solves the inverse-gamma moment equations for the given
-    mean and sd.
+    rho prior solves the inverse-gamma moment equations for the mean
+    DEFAULT_RHO_MEAN and the sd DEFAULT_RHO_SD.
     """
     y = np.asarray(y, dtype=float)
     n, p = y.shape
@@ -135,34 +137,54 @@ def fpca_empirical_bayes(
         )
         sigma2_hat = max(sigma2_hat, 1e-8 / 3.0)
     tau2 = float(np.sum(d[:k] ** 2)) / k
-    alpha, beta = invgamma_from_moments(rho_mean, rho_sd)
-    return FpcaHyper(
-        k=k, nu=1.0, s2=3.0 * sigma2_hat, tau2=tau2, alpha=alpha, beta=beta, nugget=nugget
-    )
+    alpha, beta = invgamma_from_moments(DEFAULT_RHO_MEAN, DEFAULT_RHO_SD)
+    return FpcaHyper(k=k, nu=1.0, s2=3.0 * sigma2_hat, tau2=tau2, alpha=alpha, beta=beta)
+
+
+def _fpca_dim(n: int, p: int, k: int) -> int:
+    return n * k + p * k + k + 3
 
 
 def unpack_fpca_params(theta, n: int, p: int, k: int):
-    """Split the flat vector into (x_u, x_v, eta_d, eta_sigma, eta_phi, eta_rho)."""
+    """Split flat vectors (..., dim) into (x_u, x_v, eta_d, eta_sigma, eta_phi, eta_rho).
+
+    The blocks are views with the leading shape (...): x_u (..., n, k),
+    x_v (..., p, k), eta_d (..., k) and the three scalar etas (...).
+    """
     theta = np.asarray(theta, dtype=float)
-    if theta.size != n * k + p * k + k + 3:
-        raise ValueError(f"expected {n * k + p * k + k + 3} parameters, got {theta.size}")
-    x_u = theta[: n * k].reshape(n, k)
-    x_v = theta[n * k : n * k + p * k].reshape(p, k)
-    eta_d = theta[n * k + p * k : n * k + p * k + k]
-    eta_sigma, eta_phi, eta_rho = theta[-3:]
-    return x_u, x_v, eta_d, float(eta_sigma), float(eta_phi), float(eta_rho)
+    if theta.shape[-1] != _fpca_dim(n, p, k):
+        raise ValueError(f"expected {_fpca_dim(n, p, k)} parameters, got {theta.shape[-1]}")
+    lead = theta.shape[:-1]
+    x_u = theta[..., : n * k].reshape(*lead, n, k)
+    x_v = theta[..., n * k : (n + p) * k].reshape(*lead, p, k)
+    eta_d = theta[..., (n + p) * k : -3]
+    return x_u, x_v, eta_d, theta[..., -3], theta[..., -2], theta[..., -1]
+
+
+def _join_fpca(x_u, x_v, eta_d, eta_sigma, eta_phi, eta_rho):
+    """The flat vectors (..., dim) of unconstrained blocks; unpack_fpca_params inverts it."""
+    lead = np.shape(eta_sigma)
+    return np.concatenate(
+        [
+            np.reshape(x_u, (*lead, -1)),
+            np.reshape(x_v, (*lead, -1)),
+            np.asarray(eta_d, dtype=float),
+            np.stack([eta_sigma, eta_phi, eta_rho], axis=-1),
+        ],
+        axis=-1,
+    )
 
 
 def pack_fpca_params(x_u, x_v, d, sigma2, phi, rho):
-    """Inverse of unpack: natural-scale scalars go through their transforms."""
-    return np.concatenate(
-        [
-            np.ravel(x_u),
-            np.ravel(x_v),
-            np.log(np.asarray(d, dtype=float)),
-            [np.log(sigma2), np.arctanh(phi), np.log(rho)],
-        ]
+    """Flat vectors from natural-scale scalars: the inverse of fpca_scalars after unpack."""
+    return _join_fpca(
+        x_u, x_v, np.log(np.asarray(d, dtype=float)), np.log(sigma2), np.arctanh(phi), np.log(rho)
     )
+
+
+def fpca_scalars(eta_d, eta_sigma, eta_phi, eta_rho):
+    """Natural-scale (d, sigma2, phi, rho) of the unconstrained scalars, elementwise."""
+    return np.exp(eta_d), np.exp(eta_sigma), np.tanh(eta_phi), np.exp(eta_rho)
 
 
 def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
@@ -178,11 +200,7 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
     grid = np.asarray(data.grid, dtype=float)
     n, p = y.shape
     k = hyper.k
-    a_sig = hyper.nu / 2.0
-    b_sig = hyper.nu * hyper.s2 / 2.0
-    alpha, beta, tau2, nugget = hyper.alpha, hyper.beta, hyper.tau2, hyper.nugget
     sqdist = (grid[:, None] - grid[None, :]) ** 2
-    dim = n * k + p * k + k + 3
 
     def kernel_terms(rho, x_v):
         """log|K|, K^{-1} x_v and the rho-derivative of the matrix-normal term, per state."""
@@ -190,7 +208,7 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
         kinv_xv = np.empty_like(x_v)
         d_rho_mn = np.empty(rho.size)
         for i in range(rho.size):
-            kern = se_kernel(SeKernelParams(grid=grid, rho=rho[i], nugget=nugget))
+            kern = se_kernel(SeKernelParams(grid=grid, rho=rho[i]))
             logdet[i] = kern.logdet()
             kinv_xv[i] = kern.solve(x_v[i])
             # dK/drho has entries K_ij * (t_i - t_j)^2 / rho^3 (nugget drops out)
@@ -204,8 +222,7 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
     def value_and_grad(theta):
         val = np.full(theta.shape[0], -np.inf)
         grad = np.zeros_like(theta)
-        eta_d = theta[:, n * k + p * k : n * k + p * k + k]
-        eta_sigma, eta_phi, eta_rho = theta[:, -3:].T
+        eta_d, eta_sigma, eta_phi, eta_rho = unpack_fpca_params(theta, n, p, k)[2:]
         # far outside any plausible scale the exp/tanh transforms overflow or
         # underflow, or tanh rounds to 1; report -inf so the sampler treats
         # the state as divergent
@@ -217,14 +234,8 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
         )
         if not np.any(ok):
             return val, grad
-        th = theta[ok]
-        x_u = th[:, : n * k].reshape(-1, n, k)
-        x_v = th[:, n * k : n * k + p * k].reshape(-1, p, k)
-        eta_d, eta_sigma, eta_phi, eta_rho = eta_d[ok], eta_sigma[ok], eta_phi[ok], eta_rho[ok]
-        d_vec = np.exp(eta_d)
-        sig2 = np.exp(eta_sigma)
-        phi = np.tanh(eta_phi)
-        rho = np.exp(eta_rho)
+        x_u, x_v, eta_d, eta_sigma, eta_phi, eta_rho = unpack_fpca_params(theta[ok], n, p, k)
+        d_vec, sig2, phi, rho = fpca_scalars(eta_d, eta_sigma, eta_phi, eta_rho)
         omphi2 = 1.0 - phi * phi
 
         polar_u = polar_decompose(x_u)
@@ -239,17 +250,13 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
         lmn_v = -0.5 * p * k * LOG_2PI - 0.5 * k * logdet - 0.5 * np.sum(x_v * kinv_xv, axis=(1, 2))
         lmn_u = -0.5 * n * k * LOG_2PI - 0.5 * np.sum(x_u * x_u, axis=(1, 2))
 
-        lp_rho = alpha * np.log(beta) - gammaln(alpha) - (alpha + 1) * np.log(rho) - beta / rho
-        lp_phi = -np.log(np.pi) - 0.5 * np.log(omphi2)
-        lp_sig = (
-            a_sig * np.log(b_sig)
-            - gammaln(a_sig)
-            - (a_sig + 1) * np.log(sig2)
-            - b_sig / sig2
-        )
-        lp_d = np.sum(0.5 * np.log(2.0 / (np.pi * tau2)) - d_vec**2 / (2.0 * tau2), axis=1)
+        lp_d, dlp_d = log_halfnormal_grad(d_vec, hyper.tau2)
+        lp_sig, dlp_sig = log_invgamma_grad(sig2, hyper.nu / 2.0, hyper.nu * hyper.s2 / 2.0)
+        lp_phi, dlp_phi = log_arcsine_grad(phi)
+        lp_rho, dlp_rho = log_invgamma_grad(rho, hyper.alpha, hyper.beta)
+        # log-Jacobians of the exp and tanh transforms
         jac = np.sum(eta_d, axis=1) + eta_sigma + np.log(omphi2) + eta_rho
-        val[ok] = ll + lmn_v + lmn_u + lp_rho + lp_phi + lp_sig + lp_d + jac
+        val[ok] = ll + lmn_v + lmn_u + lp_rho + lp_phi + lp_sig + np.sum(lp_d, axis=1) + jac
 
         # likelihood gradients through the low-rank fit
         g_m = -g_r
@@ -257,34 +264,21 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
         g_u = g_mv * d_vec[:, None, :]
         g_v = g_m.swapaxes(1, 2) @ ud
         g_d_ll = np.sum(u * g_mv, axis=1)
-        g_xu = polar_u.vjp(g_u) - x_u
-        g_xv = polar_v.vjp(g_v) - kinv_xv
-        g_eta_d = (g_d_ll - d_vec / tau2) * d_vec + 1.0
-
-        d_sig2_total = d_sig2 - (a_sig + 1.0) / sig2 + b_sig / sig2**2
-        g_eta_sigma = d_sig2_total * sig2 + 1.0
-
-        d_phi_total = d_phi + phi / omphi2
-        g_eta_phi = d_phi_total * omphi2 - 2.0 * phi
-
-        d_rho_total = d_rho_mn - (alpha + 1.0) / rho + beta / rho**2
-        g_eta_rho = d_rho_total * rho + 1.0
-
-        grad[ok] = np.concatenate(
-            [
-                g_xu.reshape(-1, n * k),
-                g_xv.reshape(-1, p * k),
-                g_eta_d,
-                np.column_stack([g_eta_sigma, g_eta_phi, g_eta_rho]),
-            ],
-            axis=1,
+        # chain rule through each transform, plus its log-Jacobian's derivative
+        grad[ok] = _join_fpca(
+            polar_u.vjp(g_u) - x_u,
+            polar_v.vjp(g_v) - kinv_xv,
+            (g_d_ll + dlp_d) * d_vec + 1.0,
+            (d_sig2 + dlp_sig) * sig2 + 1.0,
+            (d_phi + dlp_phi) * omphi2 - 2.0 * phi,
+            (d_rho_mn + dlp_rho) * rho + 1.0,
         )
         return val, grad
 
-    return UnconstrainedTarget(dim=dim, value_and_grad=batched(value_and_grad))
+    return UnconstrainedTarget(dim=_fpca_dim(n, p, k), value_and_grad=batched(value_and_grad))
 
 
-def fpca_initial_points(data: FpcaData, hyper: FpcaHyper, chains: int, seed: int, jitter: float = 0.05):
+def fpca_initial_points(data: FpcaData, hyper: FpcaHyper, chains: int, seed: int):
     """Per-chain starting vectors near the truncated-SVD estimate.
 
     The posterior concentrates sharply around the low-rank fit when the
@@ -304,13 +298,9 @@ def fpca_initial_points(data: FpcaData, hyper: FpcaHyper, chains: int, seed: int
     )
     # jitter relative to each block's natural entry scale (orthonormal columns
     # have entries of order 1/sqrt(rows); the scalar etas are order 1)
-    scale = np.concatenate(
-        [
-            np.full(n * k, jitter / np.sqrt(n)),
-            np.full(p * k, jitter / np.sqrt(p)),
-            np.full(k + 3, jitter),
-        ]
-    )
+    j = INIT_JITTER
+    scale = _join_fpca(np.full((n, k), j / np.sqrt(n)), np.full((p, k), j / np.sqrt(p)),
+                       np.full(k, j), j, j, j)
     points = []
     for c in range(chains):
         rng = np.random.default_rng([seed, c, 104729])
@@ -318,12 +308,11 @@ def fpca_initial_points(data: FpcaData, hyper: FpcaHyper, chains: int, seed: int
     return points
 
 
-def simulate_fpca(n, grid, k, d, sigma2, phi, rho, rng, nugget: float = 1e-6) -> FpcaData:
+def simulate_fpca(n, grid, k, d, sigma2, phi, rho, rng) -> FpcaData:
     """Synthetic data from the FPCA model, assembled and doubly centered."""
     grid = np.asarray(grid, dtype=float)
     p = grid.size
-    kern = se_kernel(SeKernelParams(grid=grid, rho=rho, nugget=nugget))
-    v = sample_macg(MacgParams(sigma=kern), k, rng)
+    v = sample_macg(se_kernel(SeKernelParams(grid=grid, rho=rho)), k, rng)
     u = sample_uniform_stiefel(n, k, rng)
     noise = (
         sample_ar1(n, p, Ar1Params(phi=phi, sigma2=sigma2), rng)

@@ -18,7 +18,6 @@ from polarexp.checks import quadrature_mass_check
 from polarexp.diagnostics import ess, split_rhat
 from polarexp.distributions import (
     Ar1Params,
-    MacgParams,
     SeKernelParams,
     log_macg_density,
     sample_ar1,
@@ -144,17 +143,16 @@ class TestCriterion3:
         # angular central Gaussian on the circle: chi-square against the
         # analytic angle density
         sigma = se_kernel(SeKernelParams(grid=np.array([0.0, 1.0]), rho=1.3, nugget=1e-9))
-        params = MacgParams(sigma=sigma)
         m = 40_000
         angles = np.empty(m)
         for i in range(m):
-            q = sample_macg(params, 1, rng)[:, 0]
+            q = sample_macg(sigma, 1, rng)[:, 0]
             angles[i] = np.arctan2(q[1], q[0])
         edges = np.linspace(-np.pi, np.pi, 25)
 
         def angle_density(theta):
             q = np.array([[np.cos(theta)], [np.sin(theta)]])
-            return np.exp(log_macg_density(q, params)) / (2.0 * np.pi)
+            return np.exp(log_macg_density(q, sigma)) / (2.0 * np.pi)
 
         probs = np.array(
             [quad(angle_density, lo, hi, epsabs=1e-12)[0] for lo, hi in zip(edges[:-1], edges[1:])]
@@ -301,7 +299,7 @@ class TestCriterion7:
         p = grid.size
         rho_true = 29.0
         kern = se_kernel(SeKernelParams(grid=grid, rho=rho_true, nugget=1e-6))
-        v_true = sample_macg(MacgParams(sigma=kern), k, rng)
+        v_true = sample_macg(kern, k, rng)
         u_true = sample_uniform_stiefel(n, k, rng)
         signal = (u_true * np.array([60.0, 40.0])) @ v_true.T
         noise = sample_ar1(n, p, Ar1Params(phi=0.0, sigma2=0.25), rng)
@@ -335,10 +333,9 @@ class TestCriterion7:
         zrng = np.random.default_rng(99)
         zgrid = np.linspace(1.0, 365.0, 73)
         zkern = se_kernel(SeKernelParams(grid=zgrid, rho=rho_true, nugget=1e-9))
-        zp = MacgParams(sigma=zkern)
         crossings = np.empty(2000)
         for i in range(2000):
-            curve = sample_macg(zp, 1, zrng)[:, 0]
+            curve = sample_macg(zkern, 1, zrng)[:, 0]
             crossings[i] = np.sum((curve[:-1] < 0.0) & (curve[1:] > 0.0))
         expected = 364.0 / (2.0 * np.pi * rho_true)
         z_rel = abs(crossings.mean() - expected) / expected

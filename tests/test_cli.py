@@ -240,7 +240,6 @@ class TestFpcaCommand:
         # the identifiable truth, i.e. the doubly centered noiseless signal
         from polarexp.distributions import (
             Ar1Params,
-            MacgParams,
             SeKernelParams,
             sample_ar1,
             sample_macg,
@@ -253,7 +252,7 @@ class TestFpcaCommand:
         n, p_full, k = 8, 360, 2
         grid_full = np.arange(1.0, p_full + 1.0)
         kern = se_kernel(SeKernelParams(grid=grid_full, rho=29.0, nugget=1e-6))
-        v_true = sample_macg(MacgParams(sigma=kern), k, rng)
+        v_true = sample_macg(kern, k, rng)
         u_true = sample_uniform_stiefel(n, k, rng)
         noise = sample_ar1(n, p_full, Ar1Params(phi=0.0, sigma2=0.25), rng)
         signal = (u_true * np.array([60.0, 40.0])) @ v_true.T

@@ -6,12 +6,11 @@ from scipy.stats import chisquare, norm
 
 from polarexp.distributions import (
     Ar1Params,
-    MacgParams,
     SeKernelParams,
     ar1_loglik_grad,
-    log_arcsine,
-    log_halfnormal,
-    log_invgamma,
+    log_arcsine_grad,
+    log_halfnormal_grad,
+    log_invgamma_grad,
     log_macg_density,
     log_matrix_normal,
     sample_ar1,
@@ -54,24 +53,24 @@ class TestUniformStiefel:
 class TestMacgDensity:
     def test_identity_sigma_is_uniform(self):
         rng = np.random.default_rng(3)
-        params = MacgParams(sigma=SpdMatrix(np.eye(4)))
+        sigma = SpdMatrix(np.eye(4))
         for _ in range(5):
             q = sample_uniform_stiefel(4, 2, rng)
-            assert log_macg_density(q, params) == pytest.approx(0.0, abs=1e-12)
+            assert log_macg_density(q, sigma) == pytest.approx(0.0, abs=1e-12)
 
     def test_direct_substitution(self):
         a, b = 3.0, 0.5
-        params = MacgParams(sigma=SpdMatrix(np.diag([a, b])))
+        sigma = SpdMatrix(np.diag([a, b]))
         q = np.array([[1.0], [0.0]])
-        assert log_macg_density(q, params) == pytest.approx(0.5 * np.log(a / b), abs=1e-12)
+        assert log_macg_density(q, sigma) == pytest.approx(0.5 * np.log(a / b), abs=1e-12)
 
     def test_integrates_to_one_on_circle(self):
-        params = MacgParams(sigma=SpdMatrix(np.diag([4.0, 1.0])))
+        sigma = SpdMatrix(np.diag([4.0, 1.0]))
 
         def dens(theta):
             q = np.array([[np.cos(theta)], [np.sin(theta)]])
             # uniform probability measure on the circle is d(theta)/(2 pi)
-            return np.exp(log_macg_density(q, params)) / (2 * np.pi)
+            return np.exp(log_macg_density(q, sigma)) / (2 * np.pi)
 
         total = quad(dens, 0, 2 * np.pi, epsabs=1e-10)[0]
         assert total == pytest.approx(1.0, abs=1e-8)
@@ -81,16 +80,16 @@ class TestMacgDensity:
         a = rng.standard_normal((3, 3))
         sigma = a @ a.T + 3 * np.eye(3)
         q = sample_uniform_stiefel(3, 2, rng)
-        base = log_macg_density(q, MacgParams(sigma=SpdMatrix(sigma)))
+        base = log_macg_density(q, SpdMatrix(sigma))
         for c in (0.2, 5.0, 123.0):
-            val = log_macg_density(q, MacgParams(sigma=SpdMatrix(c * sigma)))
+            val = log_macg_density(q, SpdMatrix(c * sigma))
             assert val == pytest.approx(base, abs=1e-10)
 
 
 class TestMacgSampler:
     def test_identity_matches_uniform_sampler(self):
-        params = MacgParams(sigma=SpdMatrix(np.eye(5)))
-        q1 = sample_macg(params, 2, np.random.default_rng(42))
+        sigma = SpdMatrix(np.eye(5))
+        q1 = sample_macg(sigma, 2, np.random.default_rng(42))
         q2 = sample_uniform_stiefel(5, 2, np.random.default_rng(42))
         np.testing.assert_array_equal(q1, q2)
 
@@ -98,26 +97,26 @@ class TestMacgSampler:
         rng = np.random.default_rng(5)
         a = rng.standard_normal((4, 4))
         sigma = a @ a.T + 4 * np.eye(4)
-        q1 = sample_macg(MacgParams(sigma=SpdMatrix(sigma)), 2, np.random.default_rng(9))
+        q1 = sample_macg(SpdMatrix(sigma), 2, np.random.default_rng(9))
         q2 = sample_macg(
-            MacgParams(sigma=SpdMatrix(9.0 * sigma)), 2, np.random.default_rng(9)
+            SpdMatrix(9.0 * sigma), 2, np.random.default_rng(9)
         )
         np.testing.assert_allclose(q1, q2, atol=1e-12)
 
     def test_circle_histogram_vs_density(self):
         rng = np.random.default_rng(6)
-        params = MacgParams(sigma=SpdMatrix(np.diag([4.0, 1.0])))
+        sigma = SpdMatrix(np.diag([4.0, 1.0]))
         n = 50_000
         angles = np.empty(n)
         for i in range(n):
-            q = sample_macg(params, 1, rng)
+            q = sample_macg(sigma, 1, rng)
             angles[i] = np.arctan2(q[1, 0], q[0, 0])
         edges = np.linspace(-np.pi, np.pi, 25)
         counts, _ = np.histogram(angles, bins=edges)
 
         def dens(theta):
             q = np.array([[np.cos(theta)], [np.sin(theta)]])
-            return np.exp(log_macg_density(q, params)) / (2 * np.pi)
+            return np.exp(log_macg_density(q, sigma)) / (2 * np.pi)
 
         expected = np.array(
             [quad(dens, lo, hi, epsabs=1e-10)[0] for lo, hi in zip(edges[:-1], edges[1:])]
@@ -127,11 +126,11 @@ class TestMacgSampler:
 
     def test_second_moment_p3_k2(self):
         rng = np.random.default_rng(7)
-        params = MacgParams(sigma=SpdMatrix(np.eye(3)))
+        sigma = SpdMatrix(np.eye(3))
         acc = np.zeros((3, 3))
         n = 50_000
         for _ in range(n):
-            q = sample_macg(params, 2, rng)
+            q = sample_macg(sigma, 2, rng)
             acc += q @ q.T
         assert np.linalg.norm(acc / n - (2 / 3) * np.eye(3)) <= 0.02
 
@@ -254,33 +253,55 @@ class TestAr1:
             Ar1Params(phi=0.5, sigma2=0.0)
 
 
+# each prior with its extra arguments and its support
+PRIORS = [
+    (log_arcsine_grad, (), -1.0, 1.0),
+    (log_invgamma_grad, (3.0, 5.0), 0.0, np.inf),
+    (log_halfnormal_grad, (2.0,), 0.0, np.inf),
+]
+PRIOR_IDS = ["arcsine", "invgamma", "halfnormal"]
+
+
 class TestScalarPriors:
     def test_arcsine_at_zero(self):
-        assert log_arcsine(0.0) == pytest.approx(-np.log(np.pi), abs=1e-14)
+        val, deriv = log_arcsine_grad(0.0)
+        assert val == pytest.approx(-np.log(np.pi), abs=1e-14)
+        assert deriv == 0.0
 
     def test_invgamma_mode_stationary(self):
         alpha, beta = 3.0, 5.0
         mode = beta / (alpha + 1)
-        h = 1e-6
-        deriv = (log_invgamma(mode + h, alpha, beta) - log_invgamma(mode - h, alpha, beta)) / (2 * h)
-        assert deriv == pytest.approx(0.0, abs=1e-6)
+        assert log_invgamma_grad(mode, alpha, beta)[1] == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize(
-        "fn, lo, hi",
-        [
-            (log_arcsine, -1.0, 1.0),
-            (lambda x: log_invgamma(x, 3.0, 5.0), 0.0, np.inf),
-            (lambda x: log_halfnormal(x, 2.0), 0.0, np.inf),
-        ],
-    )
-    def test_integrates_to_one(self, fn, lo, hi):
-        total = quad(lambda x: np.exp(fn(x)), lo + 1e-12, hi, epsabs=1e-9, limit=200)[0]
+    @pytest.mark.parametrize("fn, args, lo, hi", PRIORS, ids=PRIOR_IDS)
+    def test_integrates_to_one(self, fn, args, lo, hi):
+        total = quad(lambda x: np.exp(fn(x, *args)[0]), lo + 1e-12, hi, epsabs=1e-9, limit=200)[0]
         assert total == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("fn, args, lo, hi", PRIORS, ids=PRIOR_IDS)
+    def test_derivative_matches_central_differences(self, fn, args, lo, hi):
+        inside = [-0.93, -0.4, 0.05, 0.6, 0.97] if lo < 0 else [0.02, 0.3, 1.7, 6.0, 40.0]
+        x = np.array(inside)
+        h = 1e-6 * np.maximum(np.abs(x), 1e-2)
+        numeric = (fn(x + h, *args)[0] - fn(x - h, *args)[0]) / (2 * h)
+        np.testing.assert_allclose(fn(x, *args)[1], numeric, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("fn, args, lo, hi", PRIORS, ids=PRIOR_IDS)
+    def test_broadcasts_elementwise(self, fn, args, lo, hi):
+        x = np.array([[0.1, 0.5, 0.9], [0.2, 0.4, 0.8]])
+        val, deriv = fn(x, *args)
+        assert val.shape == deriv.shape == x.shape
+        for idx in np.ndindex(x.shape):
+            one = fn(x[idx], *args)
+            assert one[0] == val[idx] and one[1] == deriv[idx]
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            log_arcsine(1.0)
+            log_arcsine_grad(1.0)
         with pytest.raises(ValueError):
-            log_invgamma(0.0, 1.0, 1.0)
+            log_invgamma_grad(0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            log_halfnormal(-1.0, 1.0)
+            log_halfnormal_grad(-1.0, 1.0)
+        # one point outside the support fails the whole batch
+        with pytest.raises(ValueError, match="-0.5"):
+            log_halfnormal_grad(np.array([1.0, -0.5, 2.0]), 1.0)

@@ -9,6 +9,7 @@ from polarexp.models import (
     EigenmodelData,
     align_eigen_draws,
     eigenmodel_target,
+    pack_eigen_params,
     simulate_eigenmodel,
     unpack_eigen_params,
 )
@@ -85,6 +86,19 @@ class TestUnpack:
         with pytest.raises(ValueError):
             unpack_eigen_params(np.zeros(10), 5, 2)
 
+    def test_batched_round_trip_and_rows(self):
+        rng = np.random.default_rng(2)
+        theta = rng.standard_normal((2, 3, 1 + 5 * 2 + 2))
+        c, x, lam = unpack_eigen_params(theta, 5, 2)
+        assert c.shape == (2, 3) and x.shape == (2, 3, 5, 2) and lam.shape == (2, 3, 2)
+        for idx in np.ndindex(2, 3):
+            c1, x1, lam1 = unpack_eigen_params(theta[idx], 5, 2)
+            assert c1 == c[idx]
+            np.testing.assert_array_equal(x1, x[idx])
+            np.testing.assert_array_equal(lam1, lam[idx])
+            np.testing.assert_array_equal(pack_eigen_params(c1, x1, lam1), theta[idx])
+        np.testing.assert_array_equal(pack_eigen_params(c, x, lam), theta)
+
 
 class TestTarget:
     def test_likelihood_small_example(self):
@@ -137,9 +151,7 @@ class TestTarget:
         for perm in itertools.permutations(range(3)):
             for signs in itertools.product([1.0, -1.0], repeat=3):
                 s = np.array(signs)
-                theta2 = np.concatenate(
-                    ([c], (x[:, perm] * s).ravel(), lam[list(perm)])
-                )
+                theta2 = pack_eigen_params(c, x[:, perm] * s, lam[list(perm)])
                 assert target.log_density(theta2) == pytest.approx(base, abs=1e-12)
 
 

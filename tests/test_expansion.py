@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, norm
 
-from polarexp.distributions import MacgParams, log_macg_density
+from polarexp.distributions import log_macg_density
 from polarexp.expansion import (
     StiefelTarget,
     UnconstrainedTarget,
@@ -91,10 +91,10 @@ class TestExpandGeneral:
     def test_radial_ratio_ignores_angular_part(self):
         # the log-density difference along a ray depends only on ||x||, not f_Q
         rng = np.random.default_rng(5)
-        params = MacgParams(sigma=SpdMatrix(np.diag([3.0, 1.0, 0.5])))
+        sigma = SpdMatrix(np.diag([3.0, 1.0, 0.5]))
 
         def vag(q):
-            return log_macg_density(q, params), np.zeros_like(q)
+            return log_macg_density(q, sigma), np.zeros_like(q)
 
         shaped = expand_general(StiefelTarget(p=3, k=1, value_and_grad=vag))
         flat = expand_general(uniform_target(3, 1))
@@ -108,17 +108,16 @@ class TestExpandGeneral:
         rng = np.random.default_rng(6)
         a = rng.standard_normal((4, 4))
         sigma = SpdMatrix(a @ a.T + 4 * np.eye(4))
-        params = MacgParams(sigma=sigma)
 
         def vag(q):
-            val = log_macg_density(q, params)
+            val = log_macg_density(q, sigma)
             h = 1e-7
             g = np.empty_like(q)
             for idx in np.ndindex(q.shape):
                 e = np.zeros_like(q)
                 e[idx] = h
                 g[idx] = (
-                    log_macg_density(q + e, params) - log_macg_density(q - e, params)
+                    log_macg_density(q + e, sigma) - log_macg_density(q - e, sigma)
                 ) / (2 * h)
             return val, g
 
@@ -145,7 +144,6 @@ class TestExpandMacgPosterior:
         # the circle angle histogram to the matching angular density
         rng = np.random.default_rng(8)
         sigma = SpdMatrix(np.diag([4.0, 1.0]))
-        params = MacgParams(sigma=sigma)
         chol = np.linalg.cholesky(sigma.mat)
         n = 40_000
         angles = np.empty(n)
@@ -159,7 +157,7 @@ class TestExpandMacgPosterior:
             [
                 np.exp(
                     log_macg_density(
-                        np.array([[np.cos(t)], [np.sin(t)]]), params
+                        np.array([[np.cos(t)], [np.sin(t)]]), sigma
                     )
                 )
                 for t in centers

@@ -12,6 +12,7 @@ from polarexp.models import (
     center_data,
     fpca_empirical_bayes,
     fpca_point_estimate_v,
+    fpca_scalars,
     fpca_target,
     invgamma_from_moments,
     pack_fpca_params,
@@ -126,6 +127,19 @@ class TestPacking:
         with pytest.raises(ValueError):
             unpack_fpca_params(np.zeros(10), 4, 6, 2)
 
+    def test_batched_round_trip_and_rows(self):
+        rng = np.random.default_rng(26)
+        n, p, k = 4, 6, 2
+        theta = rng.standard_normal((2, 3, n * k + p * k + k + 3))
+        blocks = unpack_fpca_params(theta, n, p, k)
+        assert [b.shape for b in blocks] == [(2, 3, n, k), (2, 3, p, k), (2, 3, k),
+                                             (2, 3), (2, 3), (2, 3)]
+        for idx in np.ndindex(2, 3):
+            for got, want in zip(blocks, unpack_fpca_params(theta[idx], n, p, k)):
+                np.testing.assert_array_equal(got[idx], want)
+        again = pack_fpca_params(blocks[0], blocks[1], *fpca_scalars(*blocks[2:]))
+        np.testing.assert_allclose(again, theta, rtol=1e-14, atol=1e-14)
+
 
 class TestAr1Grad:
     def test_gradients_match_finite_differences(self):
@@ -168,6 +182,16 @@ class TestTarget:
             theta = 0.5 * rng.standard_normal(target.dim)
             assert check_gradient(target, theta).max_rel_error <= 1e-5
 
+    def test_gradient_finite_difference_73_day_grid(self):
+        # 35 stations on every fifth day of a year: the benchmark's fpca-p73 shape
+        rng = np.random.default_rng(19)
+        grid = np.arange(1.0, 366.0, 5.0)
+        data = simulate_fpca(35, grid, 3, [40.0, 25.0, 12.0], 1.0, 0.5, 29.0, rng)
+        target = fpca_target(data, fpca_empirical_bayes(data.y, 3))
+        for _ in range(4):
+            theta = 0.5 * rng.standard_normal(target.dim)
+            assert check_gradient(target, theta).max_rel_error <= 1e-5
+
     def test_sign_permutation_invariance(self):
         target, rng = self.make_target(seed=9)
         n, p, k = 6, 16, 2
@@ -177,13 +201,8 @@ class TestTarget:
         # swap both columns and flip a joint sign: U D V^T is unchanged
         perm = [1, 0]
         s = np.array([-1.0, 1.0])
-        theta2 = np.concatenate(
-            [
-                (x_u[:, perm] * s).ravel(),
-                (x_v[:, perm] * s).ravel(),
-                eta_d[perm],
-                [es, ep, er],
-            ]
+        theta2 = pack_fpca_params(
+            x_u[:, perm] * s, x_v[:, perm] * s, *fpca_scalars(eta_d[perm], es, ep, er)
         )
         assert target.log_density(theta2) == pytest.approx(base, abs=1e-10)
 
