@@ -49,15 +49,11 @@ class IngestionError(ValueError):
     """Bad input data or configuration (exit code 1)."""
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def _write_csv(path, header, rows):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(c if isinstance(c, str) else _fmt(c) for c in row) + "\n")
+            fh.write(",".join(c if isinstance(c, str) else f"{float(c):.17g}" for c in row) + "\n")
 
 
 def _write_summary(path, draws, names):
@@ -69,8 +65,10 @@ def _write_summary(path, draws, names):
 def _write_chain_table(path, names, draws):
     """(iteration, chain, values...) rows from draws shaped (chains, iterations, names)."""
     n_chains, n_iter = draws.shape[:2]
-    rows = [[str(it), str(ci), *draws[ci, it]] for ci in range(n_chains) for it in range(n_iter)]
-    _write_csv(path, ["iteration", "chain", *names], rows)
+    table = np.column_stack([np.tile(np.arange(n_iter), n_chains),
+                             np.repeat(np.arange(n_chains), n_iter),
+                             draws.reshape(n_chains * n_iter, -1)])
+    _write_csv(path, ["iteration", "chain", *names], table)
 
 
 def _load_config_file(path):
@@ -87,39 +85,36 @@ def _load_config_file(path):
     return values
 
 
-# the sampler options both commands take, with HmcConfig's defaults
-_HMC_DEFAULTS = {
-    name: getattr(HmcConfig(), name)
-    for name in ("seed", "chains", "warmup", "samples", "target_accept")
+# Every option of `eigenmodel` and `fpca` as (type, default, help): the flags,
+# the config-file keys, their conversion and the defaults all come from here.
+_HMC_DEFAULT = HmcConfig()
+_OPTIONS = {
+    "seed": (int, _HMC_DEFAULT.seed, None),
+    "chains": (int, _HMC_DEFAULT.chains, None),
+    "warmup": (int, _HMC_DEFAULT.warmup, None),
+    "samples": (int, _HMC_DEFAULT.samples, None),
+    "target_accept": (float, _HMC_DEFAULT.target_accept, None),
+    "k": (int, 3, None),
+    "stride": (int, 1, "grid subsampling stride (must divide the column count)"),
+    "thin": (int, 50, "thinning for posterior curve exports"),
+    "pc_multiple": (float, None, "multiple of the PC curves in pc_effect.csv"),
 }
-
-_HMC_OPTION_TYPES = {
-    "seed": int,
-    "chains": int,
-    "warmup": int,
-    "samples": int,
-    "target_accept": float,
-    "stride": int,
-    "k": int,
-    "pc_multiple": float,
-    "thin": int,
-}
+_SAMPLER_OPTIONS = ("seed", "chains", "warmup", "samples", "target_accept")
 
 
-def _merge_config(args, defaults):
-    """Precedence: command-line flags > config file > defaults."""
-    merged = dict(defaults)
-    if getattr(args, "config", None):
-        file_vals = _load_config_file(args.config)
-        for key, val in file_vals.items():
+def _resolve_options(args):
+    """The options that the command declares, in table order: flags > config file > defaults."""
+    merged = {name: default for name, (_, default, _) in _OPTIONS.items() if hasattr(args, name)}
+    if args.config:
+        for key, val in _load_config_file(args.config).items():
             if key not in merged:
                 raise IngestionError(f"unknown config key: {key}")
             try:
-                merged[key] = _HMC_OPTION_TYPES.get(key, str)(val)
+                merged[key] = _OPTIONS[key][0](val)
             except ValueError:
                 raise IngestionError(f"bad value for config key {key}: {val!r}") from None
     for key in merged:
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
             merged[key] = flag
     return merged
@@ -128,7 +123,7 @@ def _merge_config(args, defaults):
 def _hmc_config(merged) -> HmcConfig:
     """Sampler settings from the merged options; every bad value is an input error."""
     try:
-        config = HmcConfig(**{name: merged[name] for name in _HMC_DEFAULTS})
+        config = HmcConfig(**{name: merged[name] for name in _SAMPLER_OPTIONS})
     except ValueError as exc:
         raise IngestionError(str(exc)) from None
     # the ESS and R-hat summaries need this many draws; fail now, not after sampling
@@ -137,7 +132,15 @@ def _hmc_config(merged) -> HmcConfig:
     return config
 
 
-def _write_meta(out_dir, merged, config, outputs, wall_time, extra=None):
+def _sample(target, config, inits):
+    """Runs the chains; returns their outputs, draws (chains, samples, dim) and wall time."""
+    t0 = time.perf_counter()
+    outputs = run_chains(target, config, init=inits)
+    wall = time.perf_counter() - t0
+    return outputs, np.stack([o.draws for o in outputs]), wall
+
+
+def _write_meta(out_dir, merged, config, outputs, wall_time, **extra):
     meta = {
         "version": __version__,
         "config": merged,
@@ -152,9 +155,8 @@ def _write_meta(out_dir, merged, config, outputs, wall_time, extra=None):
         "grad_evals": [o.grad_evals for o in outputs],
         "warmup_step_sizes": [o.step_size_trace.tolist() for o in outputs],
         "wall_time_seconds": wall_time,
+        **extra,
     }
-    if extra:
-        meta.update(extra)
     with open(Path(out_dir) / "run_meta.json", "w") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
@@ -221,26 +223,37 @@ def _load_adjacency(path) -> EigenmodelData:
 
 
 def cmd_demo(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    p, k = args.p, args.k
-    if args.kind == "sphere":
-        k = 1
+    p, k = args.p, 1 if args.kind == "sphere" else args.k
+    if not 1 <= k <= p:
+        raise IngestionError(f"need 1 <= k <= p, got p = {p}, k = {k}")
+    if args.draws < 1:
+        raise IngestionError(f"need at least 1 draw, got {args.draws}")
     rng = np.random.default_rng(args.seed)
     if args.kind == "macg":
-        diag = (
-            np.ones(p)
-            if args.sigma_diag is None
-            else np.array([float(s) for s in args.sigma_diag.split(",")])
-        )
+        try:
+            diag = (
+                np.ones(p)
+                if args.sigma_diag is None
+                else np.array([float(s) for s in args.sigma_diag.split(",")])
+            )
+        except ValueError:
+            raise IngestionError(
+                f"--sigma-diag has a non-numeric entry: {args.sigma_diag!r}"
+            ) from None
         if diag.size != p:
             raise IngestionError(f"--sigma-diag needs {p} entries, got {diag.size}")
+        if not np.all(np.isfinite(diag) & (diag > 0)):
+            raise IngestionError(
+                f"--sigma-diag entries must be finite and positive, got {args.sigma_diag!r}"
+            )
         sigma = SpdMatrix(np.diag(diag))
         draws = np.array([sample_macg(sigma, k, rng).ravel() for _ in range(args.draws)])
     else:
         draws = np.array(
             [sample_uniform_stiefel(p, k, rng).ravel() for _ in range(args.draws)]
         )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     header = [f"q_{i}_{j}" for i in range(p) for j in range(k)]
     _write_csv(out / "draws.csv", header, draws)
     qs = draws.reshape(args.draws, p, k)
@@ -262,13 +275,11 @@ def cmd_demo(args) -> int:
 
 # ---------------------------------------------------------------- eigenmodel
 
-_EIGEN_DEFAULTS = {**_HMC_DEFAULTS, "k": 3}
-
 
 def cmd_eigenmodel(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    merged = _merge_config(args, _EIGEN_DEFAULTS)
+    merged = _resolve_options(args)
     config = _hmc_config(merged)
     data = _load_adjacency(args.adjacency)
     p, k = data.p, merged["k"]
@@ -276,12 +287,10 @@ def cmd_eigenmodel(args) -> int:
         raise IngestionError(f"need 1 <= k <= {p} on a {p}-node graph, got k = {k}")
     target = eigenmodel_target(data, k=k)
     inits = eigenmodel_initial_points(data, k, config.chains, config.seed)
-    t0 = time.perf_counter()
-    outputs = run_chains(target, config, init=inits)
-    wall = time.perf_counter() - t0
+    outputs, draws, wall = _sample(target, config, inits)
 
     n_chains, n_iter = config.chains, config.samples
-    c_draws, x_draws, lam_draws = unpack_eigen_params(np.stack([o.draws for o in outputs]), p, k)
+    c_draws, x_draws, lam_draws = unpack_eigen_params(draws, p, k)
     q_draws = polar_decompose(x_draws.reshape(-1, p, k)).q
     qlq_mean = np.einsum("tij,tj,tlj->il", q_draws, lam_draws.reshape(-1, k), q_draws,
                          optimize=True) / (n_chains * n_iter)
@@ -301,17 +310,19 @@ def cmd_eigenmodel(args) -> int:
 
 # ---------------------------------------------------------------- fpca
 
-_FPCA_DEFAULTS = {**_HMC_DEFAULTS, "k": 3, "stride": 1, "thin": 50, "pc_multiple": None}
-
 
 def cmd_fpca(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    merged = _merge_config(args, _FPCA_DEFAULTS)
+    merged = _resolve_options(args)
     config = _hmc_config(merged)
+    stride, k, thin, multiple = (merged[name] for name in ("stride", "k", "thin", "pc_multiple"))
+    if thin < 1:
+        raise IngestionError(f"need thin >= 1, got {thin}")
+    if multiple is not None and not np.isfinite(multiple):
+        raise IngestionError(f"pc_multiple must be finite, got {multiple}")
     y_raw_full, _labels = _read_numeric_csv(args.data)
     n, p_full = y_raw_full.shape
-    stride = merged["stride"]
     if stride < 1 or p_full % stride != 0:
         raise IngestionError(
             f"stride {stride} does not divide the {p_full}-column grid"
@@ -319,7 +330,6 @@ def cmd_fpca(args) -> int:
     y_raw = y_raw_full[:, ::stride]
     grid = np.arange(1.0, p_full + 1.0)[::stride]
     p = y_raw.shape[1]
-    k = merged["k"]
     if not 1 <= k < min(n, p):
         raise IngestionError(f"need 1 <= k < min(n, p) = {min(n, p)}, got k = {k}")
 
@@ -327,19 +337,16 @@ def cmd_fpca(args) -> int:
     hyper = fpca_empirical_bayes(data.y, k)
     target = fpca_target(data, hyper)
     inits = fpca_initial_points(data, hyper, config.chains, config.seed)
-    t0 = time.perf_counter()
-    outputs = run_chains(target, config, init=inits)
-    wall = time.perf_counter() - t0
+    outputs, draws, wall = _sample(target, config, inits)
 
     n_chains, n_iter = config.chains, config.samples
-    x_u, x_v, *eta = unpack_fpca_params(np.stack([o.draws for o in outputs]), n, p, k)
+    x_u, x_v, *eta = unpack_fpca_params(draws, n, p, k)
     u = polar_decompose(x_u.reshape(-1, n, k)).q
     v = polar_decompose(x_v.reshape(-1, p, k)).q
     d, sigma2, phi, rho = fpca_scalars(*eta)
     scalar_draws = np.concatenate([d, np.stack([sigma2, phi, rho], axis=-1)], axis=-1)
     d = d.reshape(-1, k)
     mean_fit = np.einsum("tij,tj,tlj->il", u, d, v, optimize=True) / (n_chains * n_iter)
-    thin = max(1, merged["thin"])
     # every thin-th iteration of each chain goes into the curve exports
     kept = np.arange(n_chains * n_iter) % n_iter % thin == 0
 
@@ -358,40 +365,24 @@ def cmd_fpca(args) -> int:
     _write_chain_table(out / "rho_draws.csv", ["rho"], rho[:, :, None])
 
     pc_idx = min(3, k) - 1  # third principal component when available
-    v3_rows = []
-    for t in range(v_al.shape[0]):
-        for gi in range(p):
-            v3_rows.append([str(t), _fmt(grid[gi]), v_al[t, gi, pc_idx]])
-    _write_csv(out / "v3_draws.csv", ["draw", "day", "value"], v3_rows)
+    n_kept = v_al.shape[0]
+    _write_csv(out / "v3_draws.csv", ["draw", "day", "value"],
+               np.column_stack([np.repeat(np.arange(n_kept), p), np.tile(grid, n_kept),
+                                v_al[:, :, pc_idx].ravel()]))
 
     col_means = y_raw.mean(axis=0)
-    multiple = merged["pc_multiple"]
-    if multiple is None:
-        multiples = 2.0 * d_mean / np.sqrt(n)
-    else:
-        multiples = np.full(k, float(multiple))
-    effect_cols = [grid, col_means]
-    effect_names = ["day", "col_mean"]
-    for j in range(k):
-        effect_cols.append(col_means + multiples[j] * v_hat[:, j])
-        effect_cols.append(col_means - multiples[j] * v_hat[:, j])
-        effect_names += [f"pc{j + 1}_plus", f"pc{j + 1}_minus"]
-    _write_csv(out / "pc_effect.csv", effect_names, np.column_stack(effect_cols))
+    multiples = 2.0 * d_mean / np.sqrt(n) if multiple is None else np.full(k, multiple)
+    # pc1_plus, pc1_minus, pc2_plus, ...: the mean curve moved by each scaled PC
+    shift = multiples * v_hat
+    pc_cols = np.stack([col_means[:, None] + shift, col_means[:, None] - shift], axis=2)
+    pc_names = [f"pc{j + 1}_{sign}" for j in range(k) for sign in ("plus", "minus")]
+    _write_csv(out / "pc_effect.csv", ["day", "col_mean", *pc_names],
+               np.column_stack([grid, col_means, pc_cols.reshape(p, 2 * k)]))
 
     names = [f"d_{j + 1}" for j in range(k)] + ["sigma2", "phi", "rho"]
     _write_summary(out / "summary.csv", scalar_draws, names)
-    _write_meta(
-        out,
-        merged,
-        config,
-        outputs,
-        wall,
-        extra={
-            "hyper": asdict(hyper),
-            "stride": stride,
-            "pc_multiples": [float(m) for m in multiples],
-        },
-    )
+    _write_meta(out, merged, config, outputs, wall, hyper=asdict(hyper), stride=stride,
+                pc_multiples=[float(m) for m in multiples])
     return 0
 
 
@@ -442,32 +433,21 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--out", required=True)
     demo.set_defaults(func=cmd_demo)
 
-    def add_hmc_flags(sp):
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--chains", type=int, default=None)
-        sp.add_argument("--warmup", type=int, default=None)
-        sp.add_argument("--samples", type=int, default=None)
-        sp.add_argument("--target-accept", dest="target_accept", type=float, default=None)
-        sp.add_argument("--config", default=None, help="key = value options file")
+    def sampling_command(name, help_text, func, data, data_help, model_options):
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument(data, help=data_help)
+        for option in (*model_options, *_SAMPLER_OPTIONS):
+            kind, _, option_help = _OPTIONS[option]
+            sp.add_argument("--" + option.replace("_", "-"), type=kind, help=option_help)
+        sp.add_argument("--config", help="key = value options file")
         sp.add_argument("--out", required=True)
+        sp.set_defaults(func=func)
 
-    eig = sub.add_parser("eigenmodel", help="probit network eigenmodel posterior")
-    eig.add_argument("adjacency", help="p x p CSV of 0/1 entries (optional header)")
-    eig.add_argument("--k", type=int, default=None)
-    add_hmc_flags(eig)
-    eig.set_defaults(func=cmd_eigenmodel)
-
-    fpca = sub.add_parser("fpca", help="Bayesian functional PCA")
-    fpca.add_argument("data", help="n x p numeric CSV (optional station-name column)")
-    fpca.add_argument("--k", type=int, default=None)
-    fpca.add_argument("--stride", type=int, default=None,
-                      help="grid subsampling stride (must divide the column count)")
-    fpca.add_argument("--thin", type=int, default=None,
-                      help="thinning for posterior curve exports")
-    fpca.add_argument("--pc-multiple", dest="pc_multiple", type=float, default=None,
-                      help="multiple of the PC curves in pc_effect.csv")
-    add_hmc_flags(fpca)
-    fpca.set_defaults(func=cmd_fpca)
+    sampling_command("eigenmodel", "probit network eigenmodel posterior", cmd_eigenmodel,
+                     "adjacency", "p x p CSV of 0/1 entries (optional header)", ("k",))
+    sampling_command("fpca", "Bayesian functional PCA", cmd_fpca,
+                     "data", "n x p numeric CSV (optional station-name column)",
+                     ("k", "stride", "thin", "pc_multiple"))
 
     chk = sub.add_parser("check", help="gradient / quadrature / ESS self checks")
     chk.add_argument("--out", required=True)

@@ -55,26 +55,29 @@ class ChainInitializationError(RuntimeError):
     """Warmup never produced a finite, accepted state."""
 
 
+# dual-averaging constants: shrinkage toward log(10 eps0) and the early-iteration offset
+DA_GAMMA = 0.05
+DA_T0 = 10.0
+
+
 class _DualAveraging:
-    """Nesterov dual averaging of log step size (gamma=0.05, t0=10), one per chain.
+    """Nesterov dual averaging of log step size (DA_GAMMA, DA_T0), one per chain.
 
     The chains share the iteration count; accept_prob and log_eps are per chain.
     """
 
-    def __init__(self, eps0, target, n_chains, gamma=0.05, t0=10.0):
+    def __init__(self, eps0, target, n_chains):
         self.mu = np.log(10.0 * eps0)
         self.target = target
-        self.gamma = gamma
-        self.t0 = t0
         self.log_eps = np.full(n_chains, np.log(eps0))
         self.h_bar = np.zeros(n_chains)
         self.t = 0
 
     def update(self, accept_prob):
         self.t += 1
-        eta = 1.0 / (self.t + self.t0)
+        eta = 1.0 / (self.t + DA_T0)
         self.h_bar = (1.0 - eta) * self.h_bar + eta * (self.target - accept_prob)
-        self.log_eps = self.mu - np.sqrt(self.t) / self.gamma * self.h_bar
+        self.log_eps = self.mu - np.sqrt(self.t) / DA_GAMMA * self.h_bar
 
     @property
     def eps(self):
@@ -182,12 +185,11 @@ def _transition(target, q, val, grad, eps, mass, rngs, config, evals):
 def _mass_windows(n_adapt):
     """Stan-style schedule: 15% step-size-only, doubling mass windows, 10% tail.
 
-    Returns (first, window_ends, last) where window_ends are the iteration
-    indices at which the mass matrix is re-estimated.
+    Returns (first, window_ends) where window_ends are the iteration indices
+    at which the mass matrix is re-estimated.
     """
     first = max(1, int(round(0.15 * n_adapt)))
-    last = max(1, int(round(0.10 * n_adapt)))
-    middle = n_adapt - first - last
+    middle = n_adapt - first - max(1, int(round(0.10 * n_adapt)))
     ends = []
     if middle > 0:
         size = 25
@@ -199,7 +201,7 @@ def _mass_windows(n_adapt):
             pos += size
             ends.append(pos)
             size *= 2
-    return first, ends, last
+    return first, ends
 
 
 def _run_batch(target, config, inits):
@@ -226,7 +228,7 @@ def _run_batch(target, config, inits):
 
     mass = np.ones((n_chains, dim))
     da = _DualAveraging(config.init_step_size, config.target_accept, n_chains)
-    first, window_ends, _ = _mass_windows(config.warmup)
+    first, window_ends = _mass_windows(config.warmup)
     step_trace = np.empty((n_chains, config.warmup))
     window_draws = []
     n_tail = min(config.warmup, max(10, int(round(0.05 * config.warmup))))

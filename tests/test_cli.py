@@ -86,6 +86,27 @@ class TestDemo:
         assert rc == 1
         assert "sigma-diag" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--kind", "stiefel", "--p", "2", "--k", "3"],
+            ["--kind", "sphere", "--p", "0"],
+            ["--kind", "macg", "--p", "3", "--k", "0"],
+            ["--kind", "macg", "--p", "3", "--sigma-diag", "1,x,2"],
+            ["--kind", "macg", "--p", "3", "--sigma-diag", "1,-1,2"],
+            ["--kind", "macg", "--p", "3", "--sigma-diag", "1,nan,2"],
+            ["--kind", "sphere", "--p", "3", "--draws", "0"],
+            ["--kind", "sphere", "--p", "3", "--draws", "-5"],
+        ],
+        ids=["k-above-p", "zero-p", "zero-k", "sigma-text", "sigma-negative", "sigma-nan",
+             "zero-draws", "negative-draws"],
+    )
+    def test_exit_1_before_drawing(self, tmp_path, capsys, flags):
+        out = tmp_path / "x"
+        assert main(["demo", *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "draws.csv").exists()
+
 
 class TestEigenmodelCommand:
     def test_outputs_and_determinism(self, tmp_path):
@@ -293,9 +314,17 @@ class TestInputErrors:
             ("fpca", ["--k", "6"], None, None),
             ("fpca", ["--stride", "2"], None, 2),
             ("fpca", ["--stride", "2"], None, 3),
+            ("fpca", ["--thin", "0"], None, None),
+            ("fpca", ["--thin", "-3"], None, None),
+            ("fpca", [], "thin = 0\n", None),
+            ("fpca", ["--pc-multiple", "nan"], None, None),
+            ("fpca", [], "pc_multiple = inf\n", None),
+            ("eigenmodel", [], "stride = 2\n", None),
         ],
         ids=["few-samples", "zero-samples", "zero-chains", "config-type", "k-above-p",
-             "fpca-k-too-large", "nan-kept-day", "nan-dropped-day"],
+             "fpca-k-too-large", "nan-kept-day", "nan-dropped-day", "zero-thin",
+             "negative-thin", "config-zero-thin", "nan-pc-multiple", "config-inf-pc-multiple",
+             "config-key-of-other-command"],
     )
     def test_exit_1_before_sampling(
         self, tmp_path, monkeypatch, capsys, command, flags, config, nan_column
@@ -325,6 +354,27 @@ class TestInputErrors:
         if nan_column is not None:
             assert f"row 2, column {nan_column + 1}" in err
         assert not list(out.glob("*.csv"))
+
+    # (option, value in the config file, value on the flag) of both commands
+    SHARED_OPTIONS = [("seed", 7, 8), ("chains", 2, 3), ("warmup", 120, 130),
+                      ("samples", 150, 160), ("target_accept", 0.7, 0.9), ("k", 2, 1)]
+    FPCA_OPTIONS = [("stride", 2, 3), ("thin", 5, 6), ("pc_multiple", 1.5, 2.5)]
+
+    @pytest.mark.parametrize(
+        "command, option, in_file, on_flag",
+        [("eigenmodel", *case) for case in SHARED_OPTIONS]
+        + [("fpca", *case) for case in SHARED_OPTIONS + FPCA_OPTIONS],
+    )
+    def test_option_from_config_file_and_flag(self, tmp_path, command, option, in_file, on_flag):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(f"{option} = {in_file}\n")
+        argv = [command, "in.csv", "--config", str(cfg), "--out", "o"]
+        parser = cli.build_parser()
+        from_file = cli._resolve_options(parser.parse_args(argv))[option]
+        flag = "--" + option.replace("_", "-")
+        from_flag = cli._resolve_options(parser.parse_args([*argv, flag, str(on_flag)]))[option]
+        assert (from_file, from_flag) == (in_file, on_flag)
+        assert type(from_file) is type(from_flag) is type(on_flag)
 
     def test_thread_variable_ignored(self, tmp_path, monkeypatch):
         # chains run as one batch in one thread; the former thread cap is not read

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from polarexp import expansion
 from polarexp.expansion import check_gradient
 from polarexp.models import (
     FpcaData,
@@ -11,6 +12,7 @@ from polarexp.models import (
     align_fpca_draws,
     center_data,
     fpca_empirical_bayes,
+    fpca_initial_points,
     fpca_point_estimate_v,
     fpca_scalars,
     fpca_target,
@@ -182,15 +184,29 @@ class TestTarget:
             theta = 0.5 * rng.standard_normal(target.dim)
             assert check_gradient(target, theta).max_rel_error <= 1e-5
 
-    def test_gradient_finite_difference_73_day_grid(self):
+    @staticmethod
+    def make_73_day_grid():
         # 35 stations on every fifth day of a year: the benchmark's fpca-p73 shape
         rng = np.random.default_rng(19)
         grid = np.arange(1.0, 366.0, 5.0)
         data = simulate_fpca(35, grid, 3, [40.0, 25.0, 12.0], 1.0, 0.5, 29.0, rng)
-        target = fpca_target(data, fpca_empirical_bayes(data.y, 3))
+        return data, fpca_empirical_bayes(data.y, 3), rng
+
+    def test_gradient_finite_difference_73_day_grid(self):
+        data, hyper, rng = self.make_73_day_grid()
+        target = fpca_target(data, hyper)
         for _ in range(4):
             theta = 0.5 * rng.standard_normal(target.dim)
             assert check_gradient(target, theta).max_rel_error <= 1e-5
+
+    def test_gradient_at_initial_point(self, monkeypatch):
+        # |log density| is about 6.6e4 here, so central differences at the
+        # default step lose ~1e-5 of the -0.0153 derivative of coordinate 14 to
+        # roundoff; at a wider step the Richardson estimate matches to ~1e-6
+        data, hyper, _ = self.make_73_day_grid()
+        target = fpca_target(data, hyper)
+        monkeypatch.setattr(expansion, "FD_STEP", 1e-3)
+        assert check_gradient(target, fpca_initial_points(data, hyper, 4, 3)[0]).ok
 
     def test_sign_permutation_invariance(self):
         target, rng = self.make_target(seed=9)
