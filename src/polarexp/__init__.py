@@ -4,8 +4,7 @@ from .expansion import (
     StiefelTarget,
     UnconstrainedTarget,
     check_gradient,
-    expand_general,
-    expand_macg_posterior,
+    expand,
     polar_vjp,
 )
 from .hmc import ChainOutput, HmcConfig, leapfrog, run_chains
@@ -26,8 +25,7 @@ __all__ = [
     "StiefelTarget",
     "UnconstrainedTarget",
     "check_gradient",
-    "expand_general",
-    "expand_macg_posterior",
+    "expand",
     "polar_vjp",
     "ChainOutput",
     "HmcConfig",

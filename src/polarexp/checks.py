@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from .diagnostics import ess
 from .distributions import Ar1Params, sample_ar1
-from .expansion import StiefelTarget, check_gradient, expand_general
+from .expansion import StiefelTarget, check_gradient, expand
 from .matcore import DegenerateMatrixError
 from .models import (
     eigenmodel_target,
@@ -44,7 +44,7 @@ def quadrature_mass_check():
     total mass, the worst deviation of the angle marginal from 1/(2pi),
     and a pass flag at tolerance 1e-6.
     """
-    target = expand_general(uniform_circle_target())
+    target = expand(uniform_circle_target(), None)
 
     def radial(theta):
         direction = np.array([np.cos(theta), np.sin(theta)])

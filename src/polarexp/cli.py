@@ -277,8 +277,6 @@ def cmd_demo(args) -> int:
 
 
 def cmd_eigenmodel(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     merged = _resolve_options(args)
     config = _hmc_config(merged)
     data = _load_adjacency(args.adjacency)
@@ -287,6 +285,8 @@ def cmd_eigenmodel(args) -> int:
         raise IngestionError(f"need 1 <= k <= {p} on a {p}-node graph, got k = {k}")
     target = eigenmodel_target(data, k=k)
     inits = eigenmodel_initial_points(data, k, config.chains, config.seed)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     outputs, draws, wall = _sample(target, config, inits)
 
     n_chains, n_iter = config.chains, config.samples
@@ -312,8 +312,6 @@ def cmd_eigenmodel(args) -> int:
 
 
 def cmd_fpca(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     merged = _resolve_options(args)
     config = _hmc_config(merged)
     stride, k, thin, multiple = (merged[name] for name in ("stride", "k", "thin", "pc_multiple"))
@@ -337,6 +335,8 @@ def cmd_fpca(args) -> int:
     hyper = fpca_empirical_bayes(data.y, k)
     target = fpca_target(data, hyper)
     inits = fpca_initial_points(data, hyper, config.chains, config.seed)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     outputs, draws, wall = _sample(target, config, inits)
 
     n_chains, n_iter = config.chains, config.samples

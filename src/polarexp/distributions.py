@@ -78,18 +78,22 @@ def sample_macg(sigma: SpdMatrix, k: int, rng: np.random.Generator) -> np.ndarra
     return polar_decompose(sigma.chol @ z).q
 
 
-def log_matrix_normal(x, sigma: SpdMatrix):
-    """Log density of the centered matrix normal N(0, sigma, I) at x (p x k).
+def log_matrix_normal_grad(x, sigma: SpdMatrix | None):
+    """Centered matrix normal N(0, sigma, I) log density at x (p x k) and its gradient -sigma^{-1} x.
 
-    For a stack x (..., p, k) it returns one density per matrix.
+    sigma None is the identity. For a stack x (..., p, k) it returns one
+    density per matrix and gradients of the shape of x.
     """
     x = np.asarray(x, dtype=float)
     p, k = x.shape[-2:]
-    if sigma.dim != p:
+    if sigma is None:
+        solved, logdet = x, 0.0
+    elif sigma.dim != p:
         raise ValueError("row-covariance dimension mismatch")
-    quad = np.sum(x * sigma.solve(x), axis=(-2, -1))
-    val = -0.5 * p * k * LOG_2PI - 0.5 * k * sigma.logdet() - 0.5 * quad
-    return float(val) if x.ndim == 2 else val
+    else:
+        solved, logdet = sigma.solve(x), sigma.logdet()
+    quad = np.sum(x * solved, axis=(-2, -1))
+    return -0.5 * p * k * LOG_2PI - 0.5 * k * logdet - 0.5 * quad, -solved
 
 
 def se_kernel(params: SeKernelParams) -> SpdMatrix:

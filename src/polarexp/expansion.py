@@ -1,13 +1,16 @@
 """Polar expansion: turn Stiefel-manifold targets into unconstrained targets.
 
 The central identity: the polar orthogonal factor Q_X of an unconstrained
-matrix X has the target law on V(k, p) when X carries the expanded density.
-With the Wishart conditional for the Gram factor, the expanded log density is
+matrix X has the target law on V(k, p) when X carries the expanded density
 
-    log f_X(x) = -(pk/2) log 2pi - ||X||_F^2 / 2 + log f_Q(Q_X),
+    log f_X(x) = log f_Q(Q_X) + log N(X | 0, sigma, I).
 
-so a uniform f_Q makes X iid standard normal. Gradients flow through the
-polar factor via an SVD-based vector-Jacobian product.
+expand(target, sigma) builds it, with the matrix-normal base from
+distributions.log_matrix_normal_grad. sigma None (the identity) is the
+Wishart conditional for the Gram factor, so a uniform f_Q makes X iid
+standard normal; an SPD sigma is the posterior of a likelihood in Q under an
+MACG(sigma) prior. Gradients flow through the polar factor via an SVD-based
+vector-Jacobian product.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import LOG_2PI, log_matrix_normal
+from .distributions import log_matrix_normal_grad
 from .matcore import SpdMatrix, polar_decompose
 
 # check_gradient's base finite-difference step and its pass threshold
@@ -37,12 +40,6 @@ class StiefelTarget:
     k: int
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
 
-    def log_density(self, q) -> float:
-        return self.value_and_grad(q)[0]
-
-    def grad(self, q) -> np.ndarray:
-        return self.value_and_grad(q)[1]
-
 
 @dataclass(frozen=True)
 class UnconstrainedTarget:
@@ -58,9 +55,6 @@ class UnconstrainedTarget:
 
     def log_density(self, x) -> float:
         return self.value_and_grad(x)[0]
-
-    def grad(self, x) -> np.ndarray:
-        return self.value_and_grad(x)[1]
 
 
 def batched(fn):
@@ -85,55 +79,27 @@ def polar_vjp(x, g) -> np.ndarray:
     return polar_decompose(x).vjp(np.asarray(g, dtype=float))
 
 
-def _per_q(fn, qs):
-    """fn, a per-matrix (value, gradient) function, over a stack of matrices."""
-    pairs = [fn(q) for q in qs]
-    return np.array([f for f, _ in pairs], dtype=float), np.array([g for _, g in pairs])
+def expand(target: StiefelTarget, sigma: SpdMatrix | None) -> UnconstrainedTarget:
+    """Expanded target log f_X(x) = target(Q_X) + log N(X | 0, sigma, I).
 
-
-def expand_general(target: StiefelTarget) -> UnconstrainedTarget:
-    """Expanded target with the Wishart conditional on the Gram factor.
-
-    The returned log density is normalized whenever target.log_density is a
-    normalized density w.r.t. the uniform probability measure on V(k, p).
-    The per-Q target is called once per row of a batch.
+    sigma None (the identity) is the Wishart conditional on the Gram factor:
+    the result is normalized whenever target is a normalized density w.r.t.
+    the uniform probability measure on V(k, p). An SPD sigma gives the
+    posterior of a likelihood target under a fixed MACG(sigma) prior. The
+    per-Q target is called once per row of a batch.
     """
     p, k = target.p, target.k
-    const = -0.5 * p * k * LOG_2PI
-
-    def value_and_grad(x):
-        mat = x.reshape(-1, p, k)
-        polar = polar_decompose(mat)
-        f, gq = _per_q(target.value_and_grad, polar.q)
-        val = const - 0.5 * np.sum(mat * mat, axis=(1, 2)) + f
-        grad = -mat + polar.vjp(gq)
-        return val, grad.reshape(x.shape)
-
-    return UnconstrainedTarget(dim=p * k, value_and_grad=batched(value_and_grad))
-
-
-def expand_macg_posterior(
-    p: int,
-    k: int,
-    loglik: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    sigma: SpdMatrix,
-) -> UnconstrainedTarget:
-    """Expanded posterior for a likelihood in Q with a fixed MACG(sigma) prior.
-
-    log f_X(x) = loglik(Q_X) + log N(X | 0, sigma, I); the matrix-normal
-    gradient -sigma^{-1} X combines with the VJP of the likelihood gradient.
-    The likelihood is called once per row of a batch.
-    """
-    if sigma.dim != p:
+    if sigma is not None and sigma.dim != p:
         raise ValueError("sigma must be p x p")
 
     def value_and_grad(x):
         mat = x.reshape(-1, p, k)
         polar = polar_decompose(mat)
-        f, gq = _per_q(loglik, polar.q)
-        val = f + log_matrix_normal(mat, sigma)
-        grad = -sigma.solve(mat) + polar.vjp(gq)
-        return val, grad.reshape(x.shape)
+        pairs = [target.value_and_grad(q) for q in polar.q]
+        f = np.array([v for v, _ in pairs], dtype=float)
+        base, g_base = log_matrix_normal_grad(mat, sigma)
+        grad = g_base + polar.vjp(np.array([g for _, g in pairs]))
+        return base + f, grad.reshape(x.shape)
 
     return UnconstrainedTarget(dim=p * k, value_and_grad=batched(value_and_grad))
 
@@ -152,7 +118,7 @@ class GradientReport:
 
 
 def check_gradient(target: UnconstrainedTarget, x) -> GradientReport:
-    """Compare target.grad(x) against Richardson-refined central differences."""
+    """Compare the gradient of target at x against Richardson-refined central differences."""
     x = np.asarray(x, dtype=float)
     analytic = target.value_and_grad(x)[1]
     numeric = np.empty_like(x)

@@ -18,6 +18,12 @@ from .expansion import UnconstrainedTarget
 from .matcore import DegenerateMatrixError, IllConditionedError
 
 _RECOVERABLE = (DegenerateMatrixError, IllConditionedError, FloatingPointError)
+# the step size that dual averaging starts from
+INIT_STEP_SIZE = 0.1
+# each transition takes 1..MAX_LEAPFROG leapfrog steps, drawn uniformly
+MAX_LEAPFROG = 32
+# an energy error above this counts as a divergence
+MAX_ENERGY_ERROR = 1000.0
 
 
 @dataclass
@@ -26,9 +32,6 @@ class HmcConfig:
     warmup: int = 1000
     samples: int = 5000
     target_accept: float = 0.8
-    init_step_size: float = 0.1
-    max_leapfrog: int = 32
-    max_energy_error: float = 1000.0
     seed: int = 0
 
     def __post_init__(self):
@@ -36,8 +39,6 @@ class HmcConfig:
             raise ValueError("chains, warmup and samples must be positive")
         if not 0.0 < self.target_accept < 1.0:
             raise ValueError("target_accept must lie in (0, 1)")
-        if self.max_leapfrog < 1:
-            raise ValueError("max_leapfrog must be >= 1")
 
 
 @dataclass
@@ -151,14 +152,14 @@ def leapfrog(target: UnconstrainedTarget, position, momentum, grad, step, steps,
     return q, m, val, grad, diverged
 
 
-def _transition(target, q, val, grad, eps, mass, rngs, config, evals):
+def _transition(target, q, val, grad, eps, mass, rngs, evals):
     """One HMC transition of every chain.
 
     Chain c draws its path length, its momentum and, unless it diverged, its
     accept uniform from rngs[c]. Returns (q, val, grad, accept_prob, accepted,
     diverged), per chain.
     """
-    n_steps = [rng.integers(1, config.max_leapfrog + 1) for rng in rngs]
+    n_steps = [rng.integers(1, MAX_LEAPFROG + 1) for rng in rngs]
     m0 = np.sqrt(mass) * np.array([rng.standard_normal(q.shape[1]) for rng in rngs])
     h0 = -val + 0.5 * np.sum(m0 * m0 / mass, axis=1)
     q_new, m, val_new, grad_new, diverged = leapfrog(
@@ -171,7 +172,7 @@ def _transition(target, q, val, grad, eps, mass, rngs, config, evals):
     accepted = np.zeros(len(rngs), dtype=bool)
     for c, rng in enumerate(rngs):
         delta = h1[c] - h0[c]
-        if diverged[c] or not np.isfinite(delta) or delta > config.max_energy_error:
+        if diverged[c] or not np.isfinite(delta) or delta > MAX_ENERGY_ERROR:
             diverged[c] = True
             continue
         accept_prob[c] = min(1.0, float(np.exp(-max(delta, 0.0))) if delta > 0 else 1.0)
@@ -227,7 +228,7 @@ def _run_batch(target, config, inits):
         )
 
     mass = np.ones((n_chains, dim))
-    da = _DualAveraging(config.init_step_size, config.target_accept, n_chains)
+    da = _DualAveraging(INIT_STEP_SIZE, config.target_accept, n_chains)
     first, window_ends = _mass_windows(config.warmup)
     step_trace = np.empty((n_chains, config.warmup))
     window_draws = []
@@ -239,7 +240,7 @@ def _run_batch(target, config, inits):
     for it in range(config.warmup):
         eps = da.eps
         q, val, grad, aprob, accepted, _ = _transition(
-            target, q, val, grad, eps, mass, rngs, config, evals
+            target, q, val, grad, eps, mass, rngs, evals
         )
         any_accept |= accepted
         da.update(aprob)
@@ -275,7 +276,7 @@ def _run_batch(target, config, inits):
     accept_sum = np.zeros(n_chains)
     for it in range(config.samples):
         q, val, grad, aprob, _, diverged = _transition(
-            target, q, val, grad, eps, mass, rngs, config, evals
+            target, q, val, grad, eps, mass, rngs, evals
         )
         divergences += diverged
         accept_sum += aprob

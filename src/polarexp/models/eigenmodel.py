@@ -74,7 +74,7 @@ def pack_eigen_params(c, x, lam):
     return np.concatenate([c[..., None], np.reshape(x, (*c.shape, -1)), lam], axis=-1)
 
 
-def eigenmodel_target(data: EigenmodelData, k: int = 3) -> UnconstrainedTarget:
+def eigenmodel_target(data: EigenmodelData, k: int) -> UnconstrainedTarget:
     """Expanded log posterior of (c, X, lambda) given the adjacency.
 
     The dyad log likelihood uses log Phi evaluated through a stable

@@ -25,13 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..distributions import (
-    LOG_2PI,
     Ar1Params,
     SeKernelParams,
     ar1_loglik_grad,
     log_arcsine_grad,
     log_halfnormal_grad,
     log_invgamma_grad,
+    log_matrix_normal_grad,
     sample_ar1,
     sample_macg,
     sample_uniform_stiefel,
@@ -203,21 +203,21 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
     sqdist = (grid[:, None] - grid[None, :]) ** 2
 
     def kernel_terms(rho, x_v):
-        """log|K|, K^{-1} x_v and the rho-derivative of the matrix-normal term, per state."""
-        logdet = np.empty(rho.size)
-        kinv_xv = np.empty_like(x_v)
+        """log N(x_v | 0, K(rho), I), its x_v-gradient and its rho-derivative, per state."""
+        lmn = np.empty(rho.size)
+        g_lmn = np.empty_like(x_v)
         d_rho_mn = np.empty(rho.size)
         for i in range(rho.size):
             kern = se_kernel(SeKernelParams(grid=grid, rho=rho[i]))
-            logdet[i] = kern.logdet()
-            kinv_xv[i] = kern.solve(x_v[i])
+            lmn[i], g_lmn[i] = log_matrix_normal_grad(x_v[i], kern)
             # dK/drho has entries K_ij * (t_i - t_j)^2 / rho^3 (nugget drops out)
             kprime = kern.mat * (sqdist / rho[i] ** 3)
             kinv = kern.solve(np.eye(p))
+            # g_lmn = -K^{-1} x_v, so g_lmn g_lmn^T = K^{-1} x_v x_v^T K^{-1}
             d_rho_mn[i] = -0.5 * k * np.sum(kinv * kprime) + 0.5 * np.sum(
-                (kinv_xv[i] @ kinv_xv[i].T) * kprime
+                (g_lmn[i] @ g_lmn[i].T) * kprime
             )
-        return logdet, kinv_xv, d_rho_mn
+        return lmn, g_lmn, d_rho_mn
 
     def value_and_grad(theta):
         val = np.full(theta.shape[0], -np.inf)
@@ -246,9 +246,8 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
 
         ll, g_r, d_sig2, d_phi = ar1_loglik_grad(r, phi, sig2)
 
-        logdet, kinv_xv, d_rho_mn = kernel_terms(rho, x_v)
-        lmn_v = -0.5 * p * k * LOG_2PI - 0.5 * k * logdet - 0.5 * np.sum(x_v * kinv_xv, axis=(1, 2))
-        lmn_u = -0.5 * n * k * LOG_2PI - 0.5 * np.sum(x_u * x_u, axis=(1, 2))
+        lmn_v, g_lmn_v, d_rho_mn = kernel_terms(rho, x_v)
+        lmn_u, g_lmn_u = log_matrix_normal_grad(x_u, None)
 
         lp_d, dlp_d = log_halfnormal_grad(d_vec, hyper.tau2)
         lp_sig, dlp_sig = log_invgamma_grad(sig2, hyper.nu / 2.0, hyper.nu * hyper.s2 / 2.0)
@@ -266,8 +265,8 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
         g_d_ll = np.sum(u * g_mv, axis=1)
         # chain rule through each transform, plus its log-Jacobian's derivative
         grad[ok] = _join_fpca(
-            polar_u.vjp(g_u) - x_u,
-            polar_v.vjp(g_v) - kinv_xv,
+            polar_u.vjp(g_u) + g_lmn_u,
+            polar_v.vjp(g_v) + g_lmn_v,
             (g_d_ll + dlp_d) * d_vec + 1.0,
             (d_sig2 + dlp_sig) * sig2 + 1.0,
             (d_phi + dlp_phi) * omphi2 - 2.0 * phi,

@@ -29,7 +29,7 @@ from polarexp.expansion import (
     StiefelTarget,
     UnconstrainedTarget,
     check_gradient,
-    expand_general,
+    expand,
     polar_vjp,
 )
 from polarexp.hmc import HmcConfig, run_chains
@@ -176,7 +176,7 @@ class TestCriterion4:
     def test_sphere_marginals_through_sampler(self, capsys):
         t0 = time.perf_counter()
         p = 5
-        target = expand_general(uniform_target(p, 1))
+        target = expand(uniform_target(p, 1), None)
         cfg = HmcConfig(chains=4, warmup=1000, samples=5000, seed=303)
         outs = run_chains(target, cfg)
         x = np.concatenate([o.draws for o in outs])

@@ -304,7 +304,7 @@ class TestFpcaCommand:
 
 class TestInputErrors:
     @pytest.mark.parametrize(
-        "command, flags, config, nan_column",
+        "command, flags, config, fault",
         [
             ("eigenmodel", ["--samples", "50"], None, None),
             ("eigenmodel", ["--samples", "0"], None, None),
@@ -320,15 +320,17 @@ class TestInputErrors:
             ("fpca", ["--pc-multiple", "nan"], None, None),
             ("fpca", [], "pc_multiple = inf\n", None),
             ("eigenmodel", [], "stride = 2\n", None),
+            ("fpca", [], None, "missing-file"),
         ],
         ids=["few-samples", "zero-samples", "zero-chains", "config-type", "k-above-p",
              "fpca-k-too-large", "nan-kept-day", "nan-dropped-day", "zero-thin",
              "negative-thin", "config-zero-thin", "nan-pc-multiple", "config-inf-pc-multiple",
-             "config-key-of-other-command"],
+             "config-key-of-other-command", "missing-data-file"],
     )
     def test_exit_1_before_sampling(
-        self, tmp_path, monkeypatch, capsys, command, flags, config, nan_column
+        self, tmp_path, monkeypatch, capsys, command, flags, config, fault
     ):
+        # fault: None, a column index whose row-2 cell becomes NaN, or a missing file
         def no_sampling(*args, **kwargs):
             raise AssertionError("run_chains reached on bad input")
 
@@ -338,9 +340,11 @@ class TestInputErrors:
             write_adjacency(data, p=10, seed=3)
         else:
             write_fpca_csv(data, n=6, p=24, seed=3)
-        if nan_column is not None:
+        if fault == "missing-file":
+            data.unlink()
+        elif fault is not None:
             rows = [line.split(",") for line in data.read_text().splitlines()]
-            rows[1][nan_column] = "nan"
+            rows[1][fault] = "nan"
             data.write_text("\n".join(",".join(r) for r in rows) + "\n")
         out = tmp_path / "o"
         argv = [command, str(data), *flags, "--out", str(out)]
@@ -351,9 +355,9 @@ class TestInputErrors:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        if nan_column is not None:
-            assert f"row 2, column {nan_column + 1}" in err
-        assert not list(out.glob("*.csv"))
+        if isinstance(fault, int):
+            assert f"row 2, column {fault + 1}" in err
+        assert not out.exists()
 
     # (option, value in the config file, value on the flag) of both commands
     SHARED_OPTIONS = [("seed", 7, 8), ("chains", 2, 3), ("warmup", 120, 130),

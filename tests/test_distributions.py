@@ -12,7 +12,7 @@ from polarexp.distributions import (
     log_halfnormal_grad,
     log_invgamma_grad,
     log_macg_density,
-    log_matrix_normal,
+    log_matrix_normal_grad,
     sample_ar1,
     sample_macg,
     sample_uniform_stiefel,
@@ -151,13 +151,13 @@ class TestMacgSampler:
 
 class TestMatrixNormal:
     def test_zero_point(self):
-        val = log_matrix_normal(np.zeros((2, 1)), SpdMatrix(np.eye(2)))
+        val = log_matrix_normal_grad(np.zeros((2, 1)), SpdMatrix(np.eye(2)))[0]
         assert val == pytest.approx(-np.log(2 * np.pi), abs=1e-12)
 
     def test_separability(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((3, 2))
-        val = log_matrix_normal(x, SpdMatrix(np.eye(3)))
+        val = log_matrix_normal_grad(x, SpdMatrix(np.eye(3)))[0]
         assert val == pytest.approx(np.sum(norm.logpdf(x)), abs=1e-10)
 
     def test_dense_inverse_oracle(self):
@@ -170,7 +170,55 @@ class TestMatrixNormal:
             - np.log(np.linalg.det(sigma))
             - 0.5 * np.trace(x.T @ inv @ x)
         )
-        assert log_matrix_normal(x, SpdMatrix(sigma)) == pytest.approx(expected, abs=1e-10)
+        assert log_matrix_normal_grad(x, SpdMatrix(sigma))[0] == pytest.approx(expected, abs=1e-10)
+
+    @staticmethod
+    def row_covariance(kind, rng):
+        """None, or a random 4 x 4 SPD matrix for kind "spd"."""
+        if kind is None:
+            return None
+        a = rng.standard_normal((4, 4))
+        return SpdMatrix(a @ a.T + 4 * np.eye(4))
+
+    @pytest.mark.parametrize("kind", [None, "spd"])
+    def test_gradient_finite_difference(self, kind):
+        rng = np.random.default_rng(11)
+        sigma = self.row_covariance(kind, rng)
+        x = rng.standard_normal((4, 3))
+        h = 1e-6
+        numeric = np.empty_like(x)
+        for idx in np.ndindex(x.shape):
+            e = np.zeros_like(x)
+            e[idx] = h
+            numeric[idx] = (
+                log_matrix_normal_grad(x + e, sigma)[0] - log_matrix_normal_grad(x - e, sigma)[0]
+            ) / (2 * h)
+        np.testing.assert_allclose(log_matrix_normal_grad(x, sigma)[1], numeric, atol=1e-7)
+
+    @pytest.mark.parametrize("kind", [None, "spd"])
+    def test_stack_rows_equal_single_calls(self, kind):
+        rng = np.random.default_rng(12)
+        sigma = self.row_covariance(kind, rng)
+        xs = rng.standard_normal((5, 4, 2))
+        vals, grads = log_matrix_normal_grad(xs, sigma)
+        assert vals.shape == (5,) and grads.shape == xs.shape
+        for i in range(5):
+            val, grad = log_matrix_normal_grad(xs[i], sigma)
+            assert vals[i] == val
+            np.testing.assert_array_equal(grads[i], grad)
+
+    def test_none_is_bit_equal_to_identity(self):
+        rng = np.random.default_rng(13)
+        xs = rng.standard_normal((3, 4, 2))
+        for x in (xs, xs[0]):
+            val, grad = log_matrix_normal_grad(x, None)
+            val_eye, grad_eye = log_matrix_normal_grad(x, SpdMatrix(np.eye(4)))
+            np.testing.assert_array_equal(val, val_eye)
+            np.testing.assert_array_equal(grad, grad_eye)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            log_matrix_normal_grad(np.zeros((3, 2)), SpdMatrix(np.eye(4)))
 
 
 class TestSeKernel:

@@ -7,8 +7,7 @@ from polarexp.expansion import (
     StiefelTarget,
     UnconstrainedTarget,
     check_gradient,
-    expand_general,
-    expand_macg_posterior,
+    expand,
     polar_vjp,
 )
 from polarexp.matcore import DegenerateMatrixError, SpdMatrix
@@ -78,15 +77,17 @@ class TestPolarVjp:
 
 
 class TestExpandGeneral:
+    """expand(target, None): the Wishart conditional on the Gram factor."""
+
     def test_uniform_is_standard_normal(self):
         # f_Q == 1 -> expanded density is an exact iid N(0,1) log density
-        tgt = expand_general(uniform_target(3, 2))
+        tgt = expand(uniform_target(3, 2), None)
         rng = np.random.default_rng(4)
         for _ in range(100):
             x = rng.standard_normal(6) * rng.uniform(0.2, 3.0)
             expected = float(np.sum(norm.logpdf(x)))
             assert tgt.log_density(x) == pytest.approx(expected, abs=1e-12)
-            np.testing.assert_allclose(tgt.grad(x), -x, atol=1e-12)
+            np.testing.assert_allclose(tgt.value_and_grad(x)[1], -x, atol=1e-12)
 
     def test_radial_ratio_ignores_angular_part(self):
         # the log-density difference along a ray depends only on ||x||, not f_Q
@@ -96,8 +97,8 @@ class TestExpandGeneral:
         def vag(q):
             return log_macg_density(q, sigma), np.zeros_like(q)
 
-        shaped = expand_general(StiefelTarget(p=3, k=1, value_and_grad=vag))
-        flat = expand_general(uniform_target(3, 1))
+        shaped = expand(StiefelTarget(p=3, k=1, value_and_grad=vag), None)
+        flat = expand(uniform_target(3, 1), None)
         for _ in range(10):
             x = rng.standard_normal(3)
             d_shaped = shaped.log_density(2.0 * x) - shaped.log_density(x)
@@ -121,23 +122,25 @@ class TestExpandGeneral:
                 ) / (2 * h)
             return val, g
 
-        tgt = expand_general(StiefelTarget(p=4, k=2, value_and_grad=vag))
+        tgt = expand(StiefelTarget(p=4, k=2, value_and_grad=vag), None)
         x = rng.standard_normal(8)
         report = check_gradient(tgt, x)
         assert report.max_rel_error <= 1e-5
 
 
 class TestExpandMacgPosterior:
+    """expand(likelihood, sigma): a likelihood in Q under a fixed MACG(sigma) prior."""
+
     def test_flat_likelihood_identity_sigma(self):
-        tgt = expand_macg_posterior(
-            3, 2, lambda q: (0.0, np.zeros((3, 2))), SpdMatrix(np.eye(3))
-        )
-        ref = expand_general(uniform_target(3, 2))
+        tgt = expand(uniform_target(3, 2), SpdMatrix(np.eye(3)))
+        ref = expand(uniform_target(3, 2), None)
         rng = np.random.default_rng(7)
         for _ in range(20):
             x = rng.standard_normal(6)
             assert tgt.log_density(x) == pytest.approx(ref.log_density(x), abs=1e-12)
-            np.testing.assert_allclose(tgt.grad(x), ref.grad(x), atol=1e-12)
+            np.testing.assert_allclose(
+                tgt.value_and_grad(x)[1], ref.value_and_grad(x)[1], atol=1e-12
+            )
 
     def test_polar_law_matches_density(self):
         # sample the expanded flat-likelihood target directly in X and compare
@@ -168,9 +171,7 @@ class TestExpandMacgPosterior:
 
     def test_sigma_shape_validation(self):
         with pytest.raises(ValueError):
-            expand_macg_posterior(
-                4, 2, lambda q: (0.0, np.zeros((4, 2))), SpdMatrix(np.eye(3))
-            )
+            expand(uniform_target(4, 2), SpdMatrix(np.eye(3)))
 
     def test_gradient_finite_difference(self):
         rng = np.random.default_rng(9)
@@ -181,7 +182,7 @@ class TestExpandMacgPosterior:
         def loglik(q):
             return float(np.sum(c * q)), c
 
-        tgt = expand_macg_posterior(5, 2, loglik, sigma)
+        tgt = expand(StiefelTarget(p=5, k=2, value_and_grad=loglik), sigma)
         for _ in range(5):
             x = rng.standard_normal(10)
             assert check_gradient(tgt, x).max_rel_error <= 1e-5
