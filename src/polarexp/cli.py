@@ -163,10 +163,7 @@ def _write_meta(out_dir, merged, config, outputs, wall_time, **extra):
 
 
 def _read_numeric_csv(path):
-    """CSV to a 2-D float array; auto-detects a header row and a label column.
-
-    Returns (matrix, row_labels or None).
-    """
+    """CSV to a 2-D float array; auto-detects and drops a header row and a label column."""
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     if not lines:
         raise IngestionError(f"{path}: empty file")
@@ -184,7 +181,6 @@ def _read_numeric_csv(path):
     if not body:
         raise IngestionError(f"{path}: no data rows")
     has_labels = not numeric(body[0][0])
-    labels = [r[0] for r in body] if has_labels else None
     data = []
     for i, r in enumerate(body):
         cells = r[1:] if has_labels else r
@@ -207,11 +203,11 @@ def _read_numeric_csv(path):
         raise IngestionError(
             f"{path}: non-finite cell at data row {i + 1}, column {j + 1}: {mat[i, j]:g}"
         )
-    return mat, labels
+    return mat
 
 
 def _load_adjacency(path) -> EigenmodelData:
-    mat, _ = _read_numeric_csv(path)
+    mat = _read_numeric_csv(path)
     np.fill_diagonal(mat, 0.0)
     try:
         return EigenmodelData(y=mat)
@@ -319,7 +315,7 @@ def cmd_fpca(args) -> int:
         raise IngestionError(f"need thin >= 1, got {thin}")
     if multiple is not None and not np.isfinite(multiple):
         raise IngestionError(f"pc_multiple must be finite, got {multiple}")
-    y_raw_full, _labels = _read_numeric_csv(args.data)
+    y_raw_full = _read_numeric_csv(args.data)
     n, p_full = y_raw_full.shape
     if stride < 1 or p_full % stride != 0:
         raise IngestionError(

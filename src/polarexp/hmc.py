@@ -175,7 +175,7 @@ def _transition(target, q, val, grad, eps, mass, rngs, evals):
         if diverged[c] or not np.isfinite(delta) or delta > MAX_ENERGY_ERROR:
             diverged[c] = True
             continue
-        accept_prob[c] = min(1.0, float(np.exp(-max(delta, 0.0))) if delta > 0 else 1.0)
+        accept_prob[c] = float(np.exp(-delta)) if delta > 0 else 1.0
         accepted[c] = rng.random() < accept_prob[c]
     q = np.where(accepted[:, None], q_new, q)
     val = np.where(accepted, val_new, val)

@@ -84,7 +84,8 @@ def eigenmodel_target(data: EigenmodelData, k: int) -> UnconstrainedTarget:
     p = data.p
     iu = np.triu_indices(p, 1)
     upper = iu[0] * p + iu[1]  # the dyads as flat indices into a p x p matrix
-    yv = data.y[iu]
+    # dyad signs s = 2y - 1: the likelihood is log Phi(s eta) for either y
+    sign = 2.0 * data.y[iu] - 1.0
 
     def value_and_grad(theta):
         val = np.full(theta.shape[0], -np.inf)
@@ -101,18 +102,16 @@ def eigenmodel_target(data: EigenmodelData, k: int) -> UnconstrainedTarget:
         # take, not fancy indexing, and row sums, not a matrix-vector product:
         # C-ordered rows keep each state's value independent of the batch
         eta = c[:, None] + np.take((qlam @ q.swapaxes(1, 2)).reshape(-1, p * p), upper, axis=1)
-        lp1 = log_ndtr(eta)
-        lp0 = log_ndtr(-eta)
-        ll = np.sum(yv * lp1 + (1.0 - yv) * lp0, axis=1)
+        lp = log_ndtr(sign * eta)
         val[ok] = (
-            ll
+            np.sum(lp, axis=1)
             - c * c / 200.0
             - 0.5 * np.sum(x * x, axis=(1, 2))
             - np.sum(lam * lam, axis=1) / (2.0 * p)
         )
-        # dyad weights d ll / d eta, written as ratios of logs for stability
-        log_pdf = _LOG_NORM_CONST - 0.5 * eta * eta
-        w = yv * np.exp(log_pdf - lp1) - (1.0 - yv) * np.exp(log_pdf - lp0)
+        # dyad weights d ll / d eta = s phi(eta) / Phi(s eta), taken as
+        # exp(log phi - log Phi) to stay finite in the tails
+        w = sign * np.exp(_LOG_NORM_CONST - 0.5 * eta * eta - lp)
         wmat = np.zeros((c.size, p * p))
         wmat[:, upper] = w
         wmat = wmat.reshape(-1, p, p)

@@ -114,6 +114,13 @@ def invgamma_from_moments(mean: float, sd: float):
     return alpha, beta
 
 
+def _rank_k_fit(y, k: int):
+    """The rank-k truncated SVD factors (u, d, v) of y and its residual variance."""
+    u, d, v = thin_svd(y)
+    u, d, v = u[:, :k], d[:k], v[:, :k]
+    return u, d, v, float(np.var(y - (u * d) @ v.T, ddof=1))
+
+
 def fpca_empirical_bayes(y, k: int) -> FpcaHyper:
     """Empirical-Bayes hyperparameters from the centered data matrix.
 
@@ -127,16 +134,13 @@ def fpca_empirical_bayes(y, k: int) -> FpcaHyper:
     n, p = y.shape
     if k >= min(n, p):
         raise ValueError(f"need k < min(n, p) = {min(n, p)}, got {k}")
-    u, d, v = thin_svd(y)
-    yhat = (u[:, :k] * d[:k]) @ v[:, :k].T
-    resid = y - yhat
-    sigma2_hat = float(np.var(resid, ddof=1))
+    _, d, _, sigma2_hat = _rank_k_fit(y, k)
     if sigma2_hat < 1e-8:
         warnings.warn(
             "residual variance is (near) zero; flooring s2 at 1e-8", stacklevel=2
         )
         sigma2_hat = max(sigma2_hat, 1e-8 / 3.0)
-    tau2 = float(np.sum(d[:k] ** 2)) / k
+    tau2 = float(np.sum(d**2)) / k
     alpha, beta = invgamma_from_moments(DEFAULT_RHO_MEAN, DEFAULT_RHO_SD)
     return FpcaHyper(k=k, nu=1.0, s2=3.0 * sigma2_hat, tau2=tau2, alpha=alpha, beta=beta)
 
@@ -285,16 +289,11 @@ def fpca_initial_points(data: FpcaData, hyper: FpcaHyper, chains: int, seed: int
     stranded far from the mode. Each chain gets an independent relative
     jitter so the chains remain distinguishable for convergence diagnostics.
     """
-    y = data.y
-    n, p = y.shape
+    n, p = data.y.shape
     k = hyper.k
-    u, d, v = thin_svd(y)
-    resid = y - (u[:, :k] * d[:k]) @ v[:, :k].T
-    sigma2 = max(float(np.var(resid, ddof=1)), 1e-6)
+    u, d, v, sigma2 = _rank_k_fit(data.y, k)
     rho0 = hyper.beta / (hyper.alpha + 1.0)
-    base = pack_fpca_params(
-        u[:, :k], v[:, :k], np.maximum(d[:k], 1e-3), sigma2, 0.0, rho0
-    )
+    base = pack_fpca_params(u, v, np.maximum(d, 1e-3), max(sigma2, 1e-6), 0.0, rho0)
     # jitter relative to each block's natural entry scale (orthonormal columns
     # have entries of order 1/sqrt(rows); the scalar etas are order 1)
     j = INIT_JITTER

@@ -2,12 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.special import log_ndtr
 from scipy.stats import norm
 
 from polarexp.expansion import check_gradient
+from polarexp.matcore import polar_decompose
 from polarexp.models import (
     EigenmodelData,
     align_eigen_draws,
+    eigenmodel_initial_points,
     eigenmodel_target,
     pack_eigen_params,
     simulate_eigenmodel,
@@ -153,6 +156,62 @@ class TestTarget:
                 s = np.array(signs)
                 theta2 = pack_eigen_params(c, x[:, perm] * s, lam[list(perm)])
                 assert target.log_density(theta2) == pytest.approx(base, abs=1e-12)
+
+
+def two_sided_reference(data, k, theta):
+    """Log posterior rows and gradients with the dyad terms in (y, 1 - y) form.
+
+    Each dyad adds y log Phi(eta) + (1 - y) log Phi(-eta) to the likelihood and
+    y phi/Phi(eta) - (1 - y) phi/Phi(-eta) to d ll / d eta.
+    """
+    p = data.p
+    iu = np.triu_indices(p, 1)
+    upper = iu[0] * p + iu[1]
+    yv = data.y[iu]
+    c, x, lam = unpack_eigen_params(theta, p, k)
+    polar = polar_decompose(x)
+    q = polar.q
+    qlam = q * lam[:, None, :]
+    eta = c[:, None] + np.take((qlam @ q.swapaxes(1, 2)).reshape(-1, p * p), upper, axis=1)
+    lp1 = log_ndtr(eta)
+    lp0 = log_ndtr(-eta)
+    ll = np.sum(yv * lp1 + (1.0 - yv) * lp0, axis=1)
+    val = (
+        ll
+        - c * c / 200.0
+        - 0.5 * np.sum(x * x, axis=(1, 2))
+        - np.sum(lam * lam, axis=1) / (2.0 * p)
+    )
+    log_pdf = -0.5 * np.log(2.0 * np.pi) - 0.5 * eta * eta
+    w = yv * np.exp(log_pdf - lp1) - (1.0 - yv) * np.exp(log_pdf - lp0)
+    wmat = np.zeros((c.size, p * p))
+    wmat[:, upper] = w
+    wmat = wmat.reshape(-1, p, p)
+    wmat += wmat.swapaxes(1, 2)
+    grad = pack_eigen_params(
+        np.sum(w, axis=1) - c / 100.0,
+        polar.vjp(wmat @ qlam) - x,
+        0.5 * np.sum(q * (wmat @ q), axis=1) - lam / p,
+    )
+    return val, grad
+
+
+class TestSignForm:
+    def test_equals_two_sided_form_bit_for_bit(self):
+        data, rng = make_data(seed=22, p=12, k=2)
+        target = eigenmodel_target(data, k=2)
+        inits = np.array(eigenmodel_initial_points(data, 2, 4, 5))
+        wide = 2.0 * rng.standard_normal((24, target.dim))
+        # intercepts of +-10 to +-30 put |eta| in the tens on every dyad
+        tails = 0.5 * rng.standard_normal((24, target.dim))
+        tails[:, 0] = rng.choice([-1.0, 1.0], 24) * rng.uniform(10.0, 30.0, 24)
+        states = np.concatenate([inits, wide, tails])
+        for size in (1, 4):
+            for batch in np.split(states, len(states) // size):
+                val, grad = target.value_and_grad(batch)
+                ref_val, ref_grad = two_sided_reference(data, 2, batch)
+                assert np.array_equal(val, ref_val)
+                assert np.array_equal(grad, ref_grad)
 
 
 class TestBatch:

@@ -206,3 +206,19 @@ class TestCheckGradient:
         report = check_gradient(UnconstrainedTarget(dim=4, value_and_grad=vag), np.ones(4))
         assert not report.ok
         assert report.worst_coordinate == 2
+
+    def test_large_log_density_offset(self):
+        # |log pi| ~ 1e8 swamps a fixed small step with roundoff; the step
+        # taken from |log pi| passes the right gradient and flags the wrong one
+        def vag(x, wrong):
+            g = -x.copy()
+            g[2] *= wrong
+            return 1e8 - 0.5 * float(x @ x), g
+
+        right = UnconstrainedTarget(dim=4, value_and_grad=lambda x: vag(x, 1.0))
+        assert check_gradient(right, np.array([0.3, -1.2, 2.0, 0.05])).ok
+        report = check_gradient(
+            UnconstrainedTarget(dim=4, value_and_grad=lambda x: vag(x, 1.5)), np.ones(4)
+        )
+        assert not report.ok
+        assert report.worst_coordinate == 2
