@@ -164,7 +164,8 @@ def _write_meta(out_dir, merged, config, outputs, wall_time, **extra):
 
 def _read_numeric_csv(path):
     """CSV to a 2-D float array; auto-detects and drops a header row and a label column."""
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    # utf-8-sig drops a byte-order mark, which would make the first row a header
+    lines = [ln for ln in Path(path).read_text(encoding="utf-8-sig").splitlines() if ln.strip()]
     if not lines:
         raise IngestionError(f"{path}: empty file")
     rows = [ln.split(",") for ln in lines]

@@ -80,10 +80,6 @@ class _DualAveraging:
         self.h_bar = (1.0 - eta) * self.h_bar + eta * (self.target - accept_prob)
         self.log_eps = self.mu - np.sqrt(self.t) / DA_GAMMA * self.h_bar
 
-    @property
-    def eps(self):
-        return np.exp(self.log_eps)
-
 
 def _evaluate(target, x, rows, evals):
     """Values and gradients of target at the states x, one per chain in rows.
@@ -168,15 +164,13 @@ def _transition(target, q, val, grad, eps, mass, rngs, evals):
     h1 = np.full(len(rngs), np.nan)
     done = ~diverged
     h1[done] = -val_new[done] + 0.5 * np.sum(m[done] * m[done] / mass[done], axis=1)
-    accept_prob = np.zeros(len(rngs))
+    delta = h1 - h0
+    # NaN fails the comparison, so a non-finite energy error is a divergence
+    diverged = ~(delta <= MAX_ENERGY_ERROR)
+    accept_prob = np.where(diverged, 0.0, np.exp(-np.maximum(delta, 0.0)))
     accepted = np.zeros(len(rngs), dtype=bool)
-    for c, rng in enumerate(rngs):
-        delta = h1[c] - h0[c]
-        if diverged[c] or not np.isfinite(delta) or delta > MAX_ENERGY_ERROR:
-            diverged[c] = True
-            continue
-        accept_prob[c] = float(np.exp(-delta)) if delta > 0 else 1.0
-        accepted[c] = rng.random() < accept_prob[c]
+    for c in np.flatnonzero(~diverged):
+        accepted[c] = rngs[c].random() < accept_prob[c]
     q = np.where(accepted[:, None], q_new, q)
     val = np.where(accepted, val_new, val)
     grad = np.where(accepted[:, None], grad_new, grad)
@@ -190,35 +184,20 @@ def _mass_windows(n_adapt):
     at which the mass matrix is re-estimated.
     """
     first = max(1, int(round(0.15 * n_adapt)))
-    middle = n_adapt - first - max(1, int(round(0.10 * n_adapt)))
+    last = n_adapt - max(1, int(round(0.10 * n_adapt)))
     ends = []
-    if middle > 0:
-        size = 25
-        pos = first
-        while True:
-            if pos + size >= first + middle - size:
-                ends.append(first + middle)
-                break
-            pos += size
-            ends.append(pos)
-            size *= 2
+    pos, size = first, 25
+    while pos < last:
+        # a window that would leave at most its own size before last runs to last
+        pos = pos + size if pos + 2 * size < last else last
+        ends.append(pos)
+        size *= 2
     return first, ends
 
 
-def _run_batch(target, config, inits):
-    """All chains as one batch; returns a list of ChainOutput, by chain index."""
-    n_chains, dim = config.chains, target.dim
-    rngs = [np.random.default_rng([config.seed, c]) for c in range(n_chains)]
-    q = np.empty((n_chains, dim))
-    for c, (rng, init) in enumerate(zip(rngs, inits)):
-        if init is None:
-            # iid N(0,1) coordinates: for expanded targets this makes Q_X uniform.
-            q[c] = rng.standard_normal(dim)
-        else:
-            init = np.asarray(init, dtype=float)
-            if init.shape != (dim,):
-                raise ValueError(f"init has shape {init.shape}, expected ({dim},)")
-            q[c] = init
+def _run_batch(target, config, q, rngs):
+    """All chains as one batch from the states q, chain c drawing from rngs[c]."""
+    n_chains, dim = q.shape
     evals = np.zeros(n_chains, dtype=int)
     val, grad = _evaluate(target, q, np.arange(n_chains), evals)
     bad = np.flatnonzero(~np.isfinite(val))
@@ -230,29 +209,24 @@ def _run_batch(target, config, inits):
     mass = np.ones((n_chains, dim))
     da = _DualAveraging(INIT_STEP_SIZE, config.target_accept, n_chains)
     first, window_ends = _mass_windows(config.warmup)
-    step_trace = np.empty((n_chains, config.warmup))
+    # column it: the log step size of warmup iteration it; last: the final update
+    log_eps = np.empty((n_chains, config.warmup + 1))
+    log_eps[:, 0] = da.log_eps
     window_draws = []
-    n_tail = min(config.warmup, max(10, int(round(0.05 * config.warmup))))
-    tail_start = config.warmup - n_tail
-    tail_log_eps = np.empty((n_chains, n_tail))
     any_accept = np.zeros(n_chains, dtype=bool)
 
     for it in range(config.warmup):
-        eps = da.eps
         q, val, grad, aprob, accepted, _ = _transition(
-            target, q, val, grad, eps, mass, rngs, evals
+            target, q, val, grad, np.exp(log_eps[:, it]), mass, rngs, evals
         )
         any_accept |= accepted
         da.update(aprob)
-        step_trace[:, it] = eps
-        if it >= tail_start:
-            tail_log_eps[:, it - tail_start] = da.log_eps
+        log_eps[:, it + 1] = da.log_eps
         if it + 1 > first:
             window_draws.append(q.copy())
         if (it + 1) in window_ends and len(window_draws) >= 10:
-            w = np.asarray(window_draws)
-            n = w.shape[0]
-            var = np.var(w, axis=0, ddof=1)
+            n = len(window_draws)
+            var = np.var(window_draws, axis=0, ddof=1)
             # shrink toward unit scale, Stan-style regularization; the mass
             # matrix diagonal is the inverse of the estimated variance so that
             # position updates move eps * sd per unit momentum
@@ -265,12 +239,14 @@ def _run_batch(target, config, inits):
         c = stuck[0]
         raise ChainInitializationError(
             f"chain {c}: every warmup transition diverged or was rejected "
-            f"(final step size {da.eps[c]:.3e}); check the target or initialization"
+            f"(final step size {np.exp(log_eps[c, -1]):.3e}); "
+            "check the target or initialization"
         )
 
-    # freeze at the tail-averaged iterate; less biased than the dual-averaging
+    # freeze at the mean of the last updates; less biased than the dual-averaging
     # iterate average when the adaptation keeps oscillating late in warmup
-    eps = np.exp(np.mean(tail_log_eps, axis=1))
+    n_tail = min(config.warmup, max(10, int(round(0.05 * config.warmup))))
+    eps = np.exp(np.mean(log_eps[:, -n_tail:], axis=1))
     draws = np.empty((n_chains, config.samples, dim))
     divergences = np.zeros(n_chains, dtype=int)
     accept_sum = np.zeros(n_chains)
@@ -287,7 +263,7 @@ def _run_batch(target, config, inits):
             accept_rate=float(accept_sum[c] / config.samples),
             divergences=int(divergences[c]),
             step_size=float(eps[c]),
-            step_size_trace=step_trace[c],
+            step_size_trace=np.exp(log_eps[c, :-1]),
             mass_diag=mass[c],
             grad_evals=int(evals[c]),
         )
@@ -302,12 +278,18 @@ _run_single_chain = _run_batch
 def run_chains(target: UnconstrainedTarget, config: HmcConfig, init=None):
     """Run config.chains independent chains; returns a list of ChainOutput.
 
-    `init`, if given, is a list of per-chain initial vectors. The chains run
-    as one batch in one thread: every gradient evaluation takes the states of
-    all chains still moving. Each chain's draws depend only on (seed, chain
-    index).
+    `init` is None, when chain c starts from iid N(0, 1) coordinates drawn
+    from its generator (seeded by (config.seed, c)), or one initial vector per
+    chain, read as a (chains, dim) array. The chains run as one batch in one
+    thread: every gradient evaluation takes the states of all chains still
+    moving. Each chain's draws depend only on (seed, chain index).
     """
-    inits = init if init is not None else [None] * config.chains
-    if len(inits) != config.chains:
-        raise ValueError("need one init per chain")
-    return _run_single_chain(target, config, inits)
+    rngs = [np.random.default_rng([config.seed, c]) for c in range(config.chains)]
+    if init is None:
+        # iid N(0,1) coordinates: for expanded targets this makes Q_X uniform.
+        q = np.array([rng.standard_normal(target.dim) for rng in rngs])
+    else:
+        q = np.array(init, dtype=float)
+        if q.shape != (config.chains, target.dim):
+            raise ValueError(f"init has shape {q.shape}, expected ({config.chains}, {target.dim})")
+    return _run_single_chain(target, config, q, rngs)

@@ -40,7 +40,7 @@ class SpdMatrix:
 
     Construction validates symmetry (relative Frobenius tolerance) and
     positive definiteness (the Cholesky must succeed). Instances are
-    immutable and safe to share between threads.
+    immutable.
     """
 
     __slots__ = ("mat", "chol")

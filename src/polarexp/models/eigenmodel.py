@@ -33,6 +33,8 @@ class EigenmodelData:
         y = np.array(self.y, dtype=float)
         if y.ndim != 2 or y.shape[0] != y.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {y.shape}")
+        if y.shape[0] < 2:
+            raise ValueError(f"adjacency needs at least 2 nodes, got {y.shape[0]}")
         # report the first bad cell of the upper triangle, in row-major order
         bad = np.argwhere(np.triu((y != y.T) | ~np.isin(y, (0, 1)), 1))
         if bad.size:

@@ -302,6 +302,17 @@ class TestFpcaCommand:
         assert angle <= 20.0
 
 
+class TestReadCsv:
+    @pytest.mark.parametrize("write", [write_adjacency, write_fpca_csv])
+    def test_byte_order_mark_ignored(self, tmp_path, write):
+        # the first row is numeric: a byte-order mark must not turn it into a header
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        write(plain)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        expected = cli._read_numeric_csv(plain)
+        np.testing.assert_array_equal(cli._read_numeric_csv(bom), expected)
+
+
 class TestInputErrors:
     @pytest.mark.parametrize(
         "command, flags, config, fault",
@@ -321,16 +332,18 @@ class TestInputErrors:
             ("fpca", [], "pc_multiple = inf\n", None),
             ("eigenmodel", [], "stride = 2\n", None),
             ("fpca", [], None, "missing-file"),
+            ("eigenmodel", ["--k", "1"], None, "one-node"),
         ],
         ids=["few-samples", "zero-samples", "zero-chains", "config-type", "k-above-p",
              "fpca-k-too-large", "nan-kept-day", "nan-dropped-day", "zero-thin",
              "negative-thin", "config-zero-thin", "nan-pc-multiple", "config-inf-pc-multiple",
-             "config-key-of-other-command", "missing-data-file"],
+             "config-key-of-other-command", "missing-data-file", "one-node-graph"],
     )
     def test_exit_1_before_sampling(
         self, tmp_path, monkeypatch, capsys, command, flags, config, fault
     ):
-        # fault: None, a column index whose row-2 cell becomes NaN, or a missing file
+        # fault: None, a column index whose row-2 cell becomes NaN, a missing
+        # file, or a 1-node adjacency
         def no_sampling(*args, **kwargs):
             raise AssertionError("run_chains reached on bad input")
 
@@ -342,6 +355,8 @@ class TestInputErrors:
             write_fpca_csv(data, n=6, p=24, seed=3)
         if fault == "missing-file":
             data.unlink()
+        elif fault == "one-node":
+            data.write_text("0\n")
         elif fault is not None:
             rows = [line.split(",") for line in data.read_text().splitlines()]
             rows[1][fault] = "nan"

@@ -249,10 +249,10 @@ class TestRunChains:
         with pytest.raises(ValueError):
             HmcConfig(target_accept=1.0)
 
-    @pytest.mark.parametrize("warmup", [1, 5, 9])
+    @pytest.mark.parametrize("warmup", [1, 5, 9, 200])
     def test_short_warmup_step_size_is_tail_mean(self, warmup, monkeypatch):
-        # fewer warmup iterations than the 10-iterate tail: the frozen step
-        # size averages the log step sizes of all of them
+        # the frozen step size averages the last max(10, 5%) log step sizes
+        # of warmup, all of them when warmup is shorter than that tail
         seen = []
         update = hmc._DualAveraging.update
 
@@ -264,10 +264,15 @@ class TestRunChains:
         cfg = HmcConfig(chains=2, warmup=warmup, samples=10, seed=25)
         outs = run_chains(gaussian_target(3), cfg)
         assert len(seen) == warmup
+        n_tail = min(warmup, max(10, int(round(0.05 * warmup))))
         for c, out in enumerate(outs):
             assert np.isfinite(out.step_size)
-            expected = np.exp(np.mean([log_eps[c] for log_eps in seen]))
+            expected = np.exp(np.mean([log_eps[c] for log_eps in seen[-n_tail:]]))
             assert out.step_size == pytest.approx(expected, rel=1e-12)
+            # each iteration runs at the step size of the update before it
+            trace = [np.exp(np.log(hmc.INIT_STEP_SIZE))]
+            trace += [np.exp(log_eps[c]) for log_eps in seen[:-1]]
+            np.testing.assert_array_equal(out.step_size_trace, trace)
 
     def test_mass_adaptation_on_anisotropic_target(self):
         # scales 1 and 100: the adapted (inverse-variance) mass should be much
@@ -279,7 +284,30 @@ class TestRunChains:
         assert out.draws[:, 1].var() == pytest.approx(100.0, rel=0.25)
 
 
+class TestMassWindows:
+    @pytest.mark.parametrize(
+        "warmup, first, ends",
+        [(1, 1, []), (5, 1, [4]), (20, 3, [18]), (100, 15, [40, 90]), (150, 22, [47, 135]),
+         (1000, 150, [175, 225, 325, 525, 900])],
+    )
+    def test_schedule(self, warmup, first, ends):
+        assert hmc._mass_windows(warmup) == (first, ends)
+
+
 class TestBatch:
+    def test_one_traced_call_per_run(self, monkeypatch):
+        # the benchmark traces the whole batch through hmc._run_single_chain
+        calls = []
+        run = hmc._run_single_chain
+
+        def counted(target, config, q, rngs):
+            calls.append(q.shape)
+            return run(target, config, q, rngs)
+
+        monkeypatch.setattr(hmc, "_run_single_chain", counted)
+        run_chains(gaussian_target(3), HmcConfig(chains=3, warmup=20, samples=10, seed=26))
+        assert calls == [(3, 3)]
+
     def test_chain_zero_does_not_depend_on_chain_count(self):
         for chains in (1, 4):
             cfg = HmcConfig(chains=chains, warmup=200, samples=300, seed=21)
