@@ -74,7 +74,8 @@ def _write_chain_table(path, names, draws):
 def _load_config_file(path):
     """key = value lines; '#' starts a comment."""
     values = {}
-    for raw in Path(path).read_text().splitlines():
+    # utf-8-sig drops a byte-order mark, which would otherwise join the first key
+    for raw in Path(path).read_text(encoding="utf-8-sig").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -153,6 +154,7 @@ def _write_meta(out_dir, merged, config, outputs, wall_time, **extra):
         "accept_rates": [o.accept_rate for o in outputs],
         "step_sizes": [o.step_size for o in outputs],
         "grad_evals": [o.grad_evals for o in outputs],
+        "max_leapfrog": [o.max_leapfrog for o in outputs],
         "warmup_step_sizes": [o.step_size_trace.tolist() for o in outputs],
         "wall_time_seconds": wall_time,
         **extra,

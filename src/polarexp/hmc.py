@@ -2,8 +2,12 @@
 
 Static-path HMC with jittered leapfrog length, dual-averaging step-size
 adaptation toward a target acceptance rate, and windowed diagonal mass
-estimation during warmup. Chains are independent and deterministic given
-(seed, chain index). They run as one batch in one thread: the target is
+estimation during warmup. A transition at step size eps takes 1..n leapfrog
+steps, drawn uniformly, with n = ceil(pi / eps) capped at MAX_LEAPFROG: the
+adapted mass is the inverse variance, so a Gaussian coordinate oscillates
+with period 2 pi, and a path time jittered over (0, pi] leaves it close to
+uncorrelated with its last draw. Chains are independent and deterministic
+given (seed, chain index). They run as one batch in one thread: the target is
 called on the states of all chains at once, and a chain whose trajectory
 has ended leaves the batch until the next transition.
 """
@@ -20,7 +24,7 @@ from .matcore import DegenerateMatrixError, IllConditionedError
 _RECOVERABLE = (DegenerateMatrixError, IllConditionedError, FloatingPointError)
 # the step size that dual averaging starts from
 INIT_STEP_SIZE = 0.1
-# each transition takes 1..MAX_LEAPFROG leapfrog steps, drawn uniformly
+# the cap on ceil(pi / eps), the most leapfrog steps one transition may take
 MAX_LEAPFROG = 32
 # an energy error above this counts as a divergence
 MAX_ENERGY_ERROR = 1000.0
@@ -39,6 +43,8 @@ class HmcConfig:
             raise ValueError("chains, warmup and samples must be positive")
         if not 0.0 < self.target_accept < 1.0:
             raise ValueError("target_accept must lie in (0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -50,6 +56,8 @@ class ChainOutput:
     step_size_trace: np.ndarray
     mass_diag: np.ndarray
     grad_evals: int
+    # the most leapfrog steps a sampling transition may take, from step_size
+    max_leapfrog: int
 
 
 class ChainInitializationError(RuntimeError):
@@ -148,14 +156,21 @@ def leapfrog(target: UnconstrainedTarget, position, momentum, grad, step, steps,
     return q, m, val, grad, diverged
 
 
-def _transition(target, q, val, grad, eps, mass, rngs, evals):
-    """One HMC transition of every chain.
+def _path_ceiling(eps):
+    """Per chain, ceil(pi / eps) clipped to 1..MAX_LEAPFROG: at most half a period."""
+    # eps = 0 divides by zero and gets the cap; eps = inf gets one step
+    with np.errstate(divide="ignore"):
+        return np.clip(np.ceil(np.pi / eps), 1, MAX_LEAPFROG).astype(int)
 
-    Chain c draws its path length, its momentum and, unless it diverged, its
-    accept uniform from rngs[c]. Returns (q, val, grad, accept_prob, accepted,
-    diverged), per chain.
+
+def _transition(target, q, val, grad, eps, mass, rngs, evals):
+    """One HMC transition of every chain at its step size eps[c].
+
+    Chain c draws its path length from 1.._path_ceiling(eps[c]), its momentum
+    and, unless it diverged, its accept uniform from rngs[c]. Returns (q, val,
+    grad, accept_prob, accepted, diverged), per chain.
     """
-    n_steps = [rng.integers(1, MAX_LEAPFROG + 1) for rng in rngs]
+    n_steps = [rng.integers(1, n + 1) for rng, n in zip(rngs, _path_ceiling(eps))]
     m0 = np.sqrt(mass) * np.array([rng.standard_normal(q.shape[1]) for rng in rngs])
     h0 = -val + 0.5 * np.sum(m0 * m0 / mass, axis=1)
     q_new, m, val_new, grad_new, diverged = leapfrog(
@@ -248,6 +263,7 @@ def _run_batch(target, config, q, rngs):
     n_tail = min(config.warmup, max(10, int(round(0.05 * config.warmup))))
     eps = np.exp(np.mean(log_eps[:, -n_tail:], axis=1))
     draws = np.empty((n_chains, config.samples, dim))
+    max_leapfrog = _path_ceiling(eps)
     divergences = np.zeros(n_chains, dtype=int)
     accept_sum = np.zeros(n_chains)
     for it in range(config.samples):
@@ -266,6 +282,7 @@ def _run_batch(target, config, q, rngs):
             step_size_trace=np.exp(log_eps[c, :-1]),
             mass_diag=mass[c],
             grad_evals=int(evals[c]),
+            max_leapfrog=int(max_leapfrog[c]),
         )
         for c in range(n_chains)
     ]

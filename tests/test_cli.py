@@ -1,8 +1,14 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polarexp
 from polarexp import cli
 from polarexp.cli import main
 from polarexp.models import simulate_eigenmodel, simulate_fpca
@@ -128,6 +134,9 @@ class TestEigenmodelCommand:
         # one initial gradient, then at least one per transition
         assert len(meta["grad_evals"]) == 2
         assert all(g >= 1 + 150 + 150 for g in meta["grad_evals"])
+        # each chain's sampling-phase path ceiling, ceil(pi / step size) capped at 32
+        assert meta["max_leapfrog"] == [min(32, math.ceil(math.pi / eps))
+                                        for eps in meta["step_sizes"]]
         qlq = np.loadtxt(out1 / "qlq_mean.csv", delimiter=",", skiprows=1)
         assert qlq.shape == (8, 8)
         np.testing.assert_allclose(qlq, qlq.T, atol=1e-12)
@@ -333,11 +342,13 @@ class TestInputErrors:
             ("eigenmodel", [], "stride = 2\n", None),
             ("fpca", [], None, "missing-file"),
             ("eigenmodel", ["--k", "1"], None, "one-node"),
+            ("eigenmodel", ["--seed", "-1"], None, None),
         ],
         ids=["few-samples", "zero-samples", "zero-chains", "config-type", "k-above-p",
              "fpca-k-too-large", "nan-kept-day", "nan-dropped-day", "zero-thin",
              "negative-thin", "config-zero-thin", "nan-pc-multiple", "config-inf-pc-multiple",
-             "config-key-of-other-command", "missing-data-file", "one-node-graph"],
+             "config-key-of-other-command", "missing-data-file", "one-node-graph",
+             "negative-seed"],
     )
     def test_exit_1_before_sampling(
         self, tmp_path, monkeypatch, capsys, command, flags, config, fault
@@ -395,6 +406,18 @@ class TestInputErrors:
         assert (from_file, from_flag) == (in_file, on_flag)
         assert type(from_file) is type(from_flag) is type(on_flag)
 
+    def test_config_byte_order_mark_ignored(self, tmp_path):
+        # a BOM would otherwise become part of the first key
+        text = "seed = 7\nchains = 2\nsamples = 150\n"
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(text)
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        parser = cli.build_parser()
+        resolved = [cli._resolve_options(parser.parse_args(
+            ["fpca", "in.csv", "--config", str(cfg), "--out", "o"])) for cfg in (plain, bom)]
+        assert resolved[0] == resolved[1]
+        assert resolved[1]["seed"] == 7
+
     def test_thread_variable_ignored(self, tmp_path, monkeypatch):
         # chains run as one batch in one thread; the former thread cap is not read
         monkeypatch.setenv("POLAR_THREADS", "x")
@@ -415,3 +438,13 @@ class TestCheckCommand:
         assert report["passed"] is True
         assert "quadrature: ok" in captured
         assert "ess_oracle: ok" in captured
+
+
+def test_module_entry_point():
+    # `python -m polarexp` runs the command-line tool from a source checkout
+    src = Path(polarexp.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-m", "polarexp", "--version"],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.strip() == f"polarexp {polarexp.__version__}"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,8 @@ class TestRunChains:
             HmcConfig(warmup=0)
         with pytest.raises(ValueError):
             HmcConfig(target_accept=1.0)
+        with pytest.raises(ValueError):
+            HmcConfig(seed=-1)
 
     @pytest.mark.parametrize("warmup", [1, 5, 9, 200])
     def test_short_warmup_step_size_is_tail_mean(self, warmup, monkeypatch):
@@ -282,6 +286,46 @@ class TestRunChains:
         out = run_chains(gaussian_target(2, cov), cfg)[0]
         assert out.mass_diag[0] / out.mass_diag[1] > 10.0
         assert out.draws[:, 1].var() == pytest.approx(100.0, rel=0.25)
+
+
+def linear_target(dim):
+    """log pi(x) = sum(x): a constant gradient, so the leapfrog conserves energy exactly."""
+    return UnconstrainedTarget(dim=dim, value_and_grad=lambda x: (np.sum(x, axis=1),
+                                                                    np.ones_like(x)))
+
+
+def most_steps(eps, transitions, seed):
+    """The most leapfrog steps each chain took in `transitions` transitions at step sizes eps."""
+    tgt = linear_target(3)
+    eps = np.array(eps)
+    n_chains = eps.size
+    rngs = [np.random.default_rng([seed, c]) for c in range(n_chains)]
+    q = np.zeros((n_chains, 3))
+    val, grad = tgt.value_and_grad(q)
+    mass = np.ones_like(q)
+    evals = np.zeros(n_chains, dtype=int)
+    most = np.zeros(n_chains, dtype=int)
+    for _ in range(transitions):
+        before = evals.copy()
+        q, val, grad, *_ = hmc._transition(tgt, q, val, grad, eps, mass, rngs, evals)
+        most = np.maximum(most, evals - before)
+    return most
+
+
+class TestPathLength:
+    def test_at_most_half_a_period(self):
+        # ceil(pi / eps) capped at MAX_LEAPFROG = 32: eps = 0.5 allows 7 steps,
+        # eps = 0.05 would allow 63, and eps = 10 or inf one
+        most = most_steps([1e-300, 0.05, 0.5, 10.0, np.inf], 300, seed=27)
+        assert np.all(most <= [32, 32, 7, 1, 1])
+        assert most[2] == 7
+        assert most[1] > 7
+
+    def test_extreme_step_sizes_are_quiet(self):
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            most = most_steps([0.0, 1e-300, np.inf], 50, seed=28)
+        assert most[2] == 1
 
 
 class TestMassWindows:
