@@ -93,8 +93,10 @@ def _evaluate(target, x, rows, evals):
     """Values and gradients of target at the states x, one per chain in rows.
 
     One batched call; evals[c] counts the rows evaluated for chain c. If the
-    call raises a degenerate-state error, the rows are evaluated one at a
-    time, and a row that raises gets a NaN value.
+    call raises a degenerate-state error (a rank-deficient, non-finite or
+    ill-conditioned matrix, an SVD that did not converge, or a floating-point
+    error), the rows are evaluated one at a time, and a row that raises gets
+    a NaN value, which the transition counts as a divergence.
     """
     evals[rows] += 1
     try:
@@ -173,13 +175,9 @@ def _transition(target, q, val, grad, eps, mass, rngs, evals):
     n_steps = [rng.integers(1, n + 1) for rng, n in zip(rngs, _path_ceiling(eps))]
     m0 = np.sqrt(mass) * np.array([rng.standard_normal(q.shape[1]) for rng in rngs])
     h0 = -val + 0.5 * np.sum(m0 * m0 / mass, axis=1)
-    q_new, m, val_new, grad_new, diverged = leapfrog(
-        target, q, m0, grad, eps, n_steps, mass, evals
-    )
-    h1 = np.full(len(rngs), np.nan)
-    done = ~diverged
-    h1[done] = -val_new[done] + 0.5 * np.sum(m[done] * m[done] / mass[done], axis=1)
-    delta = h1 - h0
+    # a trajectory that diverged ends at a NaN value, so its energy error is NaN
+    q_new, m, val_new, grad_new, _ = leapfrog(target, q, m0, grad, eps, n_steps, mass, evals)
+    delta = -val_new + 0.5 * np.sum(m * m / mass, axis=1) - h0
     # NaN fails the comparison, so a non-finite energy error is a divergence
     diverged = ~(delta <= MAX_ENERGY_ERROR)
     accept_prob = np.where(diverged, 0.0, np.exp(-np.maximum(delta, 0.0)))

@@ -24,14 +24,14 @@ VJP_DENOM_TOL = 1e-10
 
 
 class DegenerateMatrixError(ValueError):
-    """Input matrix is (numerically) rank deficient."""
+    """Input matrix is (numerically) rank deficient or non-finite, or its SVD failed."""
 
 
 class IllConditionedError(ValueError):
     """A symmetric matrix failed an SPD / conditioning requirement."""
 
 
-class SvdConvergenceError(RuntimeError):
+class SvdConvergenceError(DegenerateMatrixError):
     """The SVD iteration did not converge."""
 
 
@@ -139,7 +139,7 @@ def thin_svd(x):
     if x.ndim < 2:
         raise ValueError("expected a matrix")
     if not np.all(np.isfinite(x)):
-        raise ValueError("matrix has non-finite entries")
+        raise DegenerateMatrixError("matrix has non-finite entries")
     try:
         u, d, vt = np.linalg.svd(x, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -166,27 +166,37 @@ def polar_decompose(x) -> PolarPair:
     return PolarPair(q=u @ v.swapaxes(-1, -2), u=u, d=d, v=v)
 
 
-def match_columns(ref, mats, order):
-    """Greedy sign/permutation matching of the columns of each matrix to ref.
+def match_columns(mats, weights, reference=None):
+    """Resolve the column sign/order symmetry of a stack mats (t x p x k) against a reference.
 
-    For each of the t matrices in mats (t x p x k), the reference columns are
-    visited in `order`; each takes the unmatched column with the largest
-    |inner product| and the sign of that inner product. Returns (perm, sign),
-    both t x k: column j of aligned matrix i is sign[i, j] * mats[i][:, perm[i, j]].
+    The reference defaults to mats[0], whose columns are visited in decreasing
+    |weights[0]| (weights is t x k, e.g. eigenvalues or singular values); a
+    given reference, such as an SVD estimate or a true Q, is already sorted
+    and is visited in column order. Each reference column takes, in every
+    matrix at once, the unmatched column with the largest |inner product| and
+    the sign of that inner product. Returns (aligned, perm, sign), perm and
+    sign t x k: column j of aligned[i] is sign[i, j] * mats[i][:, perm[i, j]].
     """
+    mats = np.asarray(mats, dtype=float)
     t, _, k = mats.shape
+    if reference is None:
+        ref, order = mats[0], np.argsort(-np.abs(np.asarray(weights)[0]))
+    else:
+        ref, order = np.asarray(reference, dtype=float), range(k)
+    dots = ref.T @ mats  # dots[i, j, m] = <ref[:, j], mats[i][:, m]>
+    rows = np.arange(t)
     perm = np.empty((t, k), dtype=int)
     sign = np.empty((t, k))
-    for i in range(t):
-        used = np.zeros(k, dtype=bool)
-        for j in order:
-            dots = ref[:, j] @ mats[i]
-            dots = np.where(used, 0.0, dots)
-            m = int(np.argmax(np.abs(dots)))
-            perm[i, j] = m
-            sign[i, j] = 1.0 if dots[m] >= 0 else -1.0
-            used[m] = True
-    return perm, sign
+    used = np.zeros((t, k), dtype=bool)
+    aligned = np.empty_like(mats)
+    for j in order:
+        col = np.where(used, 0.0, dots[:, j])
+        m = np.argmax(np.abs(col), axis=1)
+        perm[:, j] = m
+        sign[:, j] = np.where(col[rows, m] >= 0, 1.0, -1.0)
+        used[rows, m] = True
+        aligned[:, :, j] = mats[rows, :, m] * sign[:, j, None]
+    return aligned, perm, sign
 
 
 def log_multigamma(k: int, a: float) -> float:

@@ -169,16 +169,10 @@ def simulate_eigenmodel(p, c, q, lam, rng) -> EigenmodelData:
 
 
 def align_eigen_draws(q_draws, lam_draws, reference=None):
-    """Resolve the column sign/permutation symmetry for reporting.
+    """(Q, lambda) draws with each Q's columns matched to the reference by `match_columns`.
 
-    Each draw's columns are greedily matched to the reference (default: the
-    first draw), processing reference columns in decreasing |lambda| order and
-    picking the unmatched column with the largest |inner product|; signs follow
-    the inner products. Identifiable functions (Q L Q^T) are untouched.
+    lambda takes the new column order of Q, so Q L Q^T is unchanged.
     """
-    q_draws = np.asarray(q_draws, dtype=float)
     lam_draws = np.asarray(lam_draws, dtype=float)
-    ref_q = q_draws[0] if reference is None else np.asarray(reference, dtype=float)
-    perm, sign = match_columns(ref_q, q_draws, np.argsort(-np.abs(lam_draws[0])))
-    q_out = np.take_along_axis(q_draws, perm[:, None, :], axis=2) * sign[:, None, :]
+    q_out, perm, _ = match_columns(q_draws, lam_draws, reference)
     return q_out, np.take_along_axis(lam_draws, perm, axis=1)

@@ -328,24 +328,11 @@ def fpca_point_estimate_v(mean_fit, k: int) -> np.ndarray:
 
 
 def align_fpca_draws(u_draws, d_draws, v_draws, reference=None):
-    """Column sign/permutation alignment for (U, D, V) draws.
+    """(U, D, V) draws with each V's columns matched to the reference by `match_columns`.
 
-    Columns are greedily matched to the reference V (default: first draw) in
-    decreasing d order; sign flips are applied jointly to the matched columns
-    of U and V, leaving U D V^T unchanged.
+    U takes V's column order and signs and d its order, so U D V^T is unchanged.
     """
-    u_draws = np.asarray(u_draws, dtype=float)
     d_draws = np.asarray(d_draws, dtype=float)
-    v_draws = np.asarray(v_draws, dtype=float)
-    if reference is None:
-        ref_v = v_draws[0]
-        order = np.argsort(-np.abs(d_draws[0]))
-    else:
-        # an external reference (e.g. an SVD point estimate) is already sorted
-        ref_v = np.asarray(reference, dtype=float)
-        order = np.arange(v_draws.shape[2])
-    perm, sign = match_columns(ref_v, v_draws, order)
-    cols, flip = perm[:, None, :], sign[:, None, :]
-    u_out = np.take_along_axis(u_draws, cols, axis=2) * flip
-    v_out = np.take_along_axis(v_draws, cols, axis=2) * flip
-    return u_out, np.take_along_axis(d_draws, perm, axis=1), v_out
+    v_out, perm, sign = match_columns(v_draws, d_draws, reference)
+    u_out = np.take_along_axis(np.asarray(u_draws, dtype=float), perm[:, None, :], axis=2)
+    return u_out * sign[:, None, :], np.take_along_axis(d_draws, perm, axis=1), v_out

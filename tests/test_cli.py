@@ -141,6 +141,47 @@ class TestEigenmodelCommand:
         assert qlq.shape == (8, 8)
         np.testing.assert_allclose(qlq, qlq.T, atol=1e-12)
 
+    def test_svd_failure_mid_run_is_retried(self, tmp_path, monkeypatch):
+        # one LAPACK failure in a batched gradient call: the rows are evaluated
+        # again one at a time, and the draws are those of an undisturbed run
+        adj = tmp_path / "adj.csv"
+        write_adjacency(adj, p=8, seed=4)
+        argv = ["eigenmodel", str(adj), "--k", "2", "--chains", "2",
+                "--warmup", "100", "--samples", "100", "--seed", "3"]
+        assert main([*argv, "--out", str(tmp_path / "clean")]) == 0
+        svd, calls = np.linalg.svd, []
+
+        def flaky(x, *args, **kwargs):
+            calls.append(x.shape)
+            if len(calls) == 300:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", flaky)
+        assert main([*argv, "--out", str(tmp_path / "flaky")]) == 0
+        assert len(calls) > 300
+        for name in ("lambda_trace.csv", "summary.csv", "qlq_mean.csv"):
+            assert (tmp_path / "clean" / name).read_bytes() == (
+                tmp_path / "flaky" / name
+            ).read_bytes()
+
+    def test_svd_failure_after_sampling_exits_2(self, tmp_path, monkeypatch, capsys):
+        adj = tmp_path / "adj.csv"
+        write_adjacency(adj, p=6, seed=6)
+        svd = np.linalg.svd
+
+        def fail_on_all_draws(x, *args, **kwargs):
+            # sampling decomposes at most one matrix per chain at a time
+            if x.ndim == 3 and x.shape[0] > 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", fail_on_all_draws)
+        rc = main(["eigenmodel", str(adj), "--k", "1", "--chains", "1", "--warmup", "100",
+                   "--samples", "100", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "numerical failure: SVD did not converge" in capsys.readouterr().err
+
     def test_header_rows_accepted(self, tmp_path):
         adj = tmp_path / "adj.csv"
         write_adjacency(adj, p=6, seed=6, header=True)
@@ -232,6 +273,20 @@ class TestFpcaCommand:
         np.testing.assert_allclose(v.T @ v, np.eye(2), atol=1e-6)
         meta = json.loads((out / "run_meta.json").read_text())
         assert meta["hyper"]["k"] == 2
+
+    def test_determinism(self, tmp_path):
+        # v3_draws.csv and pc_effect.csv pass through the column aligner
+        csv = tmp_path / "temps.csv"
+        write_fpca_csv(csv, n=6, p=12, seed=11)
+        argv = ["fpca", str(csv), "--k", "3", "--chains", "2", "--warmup", "20",
+                "--samples", "100", "--thin", "5", "--seed", "7"]
+        out1, out2 = tmp_path / "run1", tmp_path / "run2"
+        assert main([*argv, "--out", str(out1)]) == 0
+        assert main([*argv, "--out", str(out2)]) == 0
+        names = sorted(f.name for f in out1.glob("*.csv"))
+        assert len(names) == 6
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_stride_must_divide(self, tmp_path, capsys):
         csv = tmp_path / "temps.csv"

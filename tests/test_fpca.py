@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from polarexp.expansion import check_gradient
+from polarexp.hmc import leapfrog
 from polarexp.models import (
     FpcaData,
     FpcaHyper,
@@ -182,6 +183,23 @@ class TestTarget:
         for _ in range(5):
             theta = 0.5 * rng.standard_normal(target.dim)
             assert check_gradient(target, theta).max_rel_error <= 1e-5
+
+    def test_overflowing_trajectory_diverges(self):
+        # chain 1's X blocks overflow to inf on its first position update while
+        # its scalars stay put; it diverges, and chain 0 carries on
+        target, rng = self.make_target()
+        n, p, k = 6, 16, 2
+        x0 = 0.5 * rng.standard_normal((2, target.dim))
+        _, g0 = target.value_and_grad(x0)
+        m0 = np.zeros_like(x0)
+        m0[1, : (n + p) * k] = 1e308
+        m0[1, (n + p) * k :] = -g0[1, (n + p) * k :]  # the half step cancels it
+        with np.errstate(over="ignore"):
+            _, _, val, _, diverged = leapfrog(
+                target, x0, m0, g0, np.array([0.01, 2.0]), 1, np.ones_like(x0)
+            )
+        np.testing.assert_array_equal(diverged, [False, True])
+        assert np.isfinite(val[0]) and np.isnan(val[1])
 
     @staticmethod
     def make_73_day_grid():

@@ -11,7 +11,7 @@ from polarexp.hmc import (
     leapfrog,
     run_chains,
 )
-from polarexp.matcore import DegenerateMatrixError
+from polarexp.matcore import DegenerateMatrixError, SvdConvergenceError
 from polarexp.models import eigenmodel_initial_points, eigenmodel_target, simulate_eigenmodel
 
 
@@ -124,7 +124,7 @@ class TestLeapfrog:
         assert rows == [3, 3, 2, 2, 1]
         np.testing.assert_array_equal(evals, steps)
 
-    @pytest.mark.parametrize("bad", ["nan_value", "nan_grad", "degenerate"])
+    @pytest.mark.parametrize("bad", ["nan_value", "nan_grad", "degenerate", "no_convergence"])
     def test_divergence_reported(self, bad):
         # the trajectory's third position is past the bad boundary
         def vag(x):
@@ -133,6 +133,8 @@ class TestLeapfrog:
             if np.any(past):
                 if bad == "degenerate":
                     raise DegenerateMatrixError("rank-deficient state")
+                if bad == "no_convergence":
+                    raise SvdConvergenceError("SVD did not converge")
                 if bad == "nan_value":
                     val[past] = np.nan
                 else:

@@ -11,6 +11,7 @@ from polarexp.matcore import (
     SvdConvergenceError,
     log_multigamma,
     log_polar_jacobian,
+    match_columns,
     polar_decompose,
     thin_svd,
 )
@@ -143,6 +144,52 @@ class TestStacks:
         monkeypatch.setattr(np.linalg, "svd", fail)
         with pytest.raises(SvdConvergenceError):
             thin_svd(np.ones((4, 2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_input_is_degenerate(self, bad):
+        x = np.ones((3, 4, 2))
+        x[2, 1, 0] = bad
+        with pytest.raises(DegenerateMatrixError, match="non-finite"):
+            thin_svd(x)
+
+
+def match_columns_per_draw(ref, mats, order):
+    """The aligner as a loop over draws and reference columns: the oracle for match_columns."""
+    t, _, k = mats.shape
+    perm = np.empty((t, k), dtype=int)
+    sign = np.empty((t, k))
+    for i in range(t):
+        used = np.zeros(k, dtype=bool)
+        for j in order:
+            dots = np.where(used, 0.0, ref[:, j] @ mats[i])
+            m = int(np.argmax(np.abs(dots)))
+            perm[i, j] = m
+            sign[i, j] = 1.0 if dots[m] >= 0 else -1.0
+            used[m] = True
+    return perm, sign
+
+
+class TestMatchColumns:
+    @pytest.mark.parametrize("p,k", [(1, 1), (3, 2), (4, 4), (8, 3), (30, 4)])
+    @pytest.mark.parametrize("given", [False, True])
+    def test_matches_per_draw_oracle(self, p, k, given):
+        rng = np.random.default_rng(100 * p + k)
+        t = 200
+        mats = np.array([random_stiefel(rng, p, k) for _ in range(t)])
+        weights = rng.standard_normal((t, k))
+        if given:
+            reference = random_stiefel(rng, p, k)
+            ref, order = reference, range(k)
+        else:
+            reference = None
+            ref, order = mats[0], np.argsort(-np.abs(weights[0]))
+        aligned, perm, sign = match_columns(mats, weights, reference)
+        perm_1, sign_1 = match_columns_per_draw(ref, mats, order)
+        np.testing.assert_array_equal(perm, perm_1)
+        np.testing.assert_array_equal(sign, sign_1)
+        for i in range(t):
+            np.testing.assert_array_equal(aligned[i], mats[i][:, perm[i]] * sign[i])
+            assert sorted(perm[i]) == list(range(k))
 
 
 class TestLogMultigamma:
