@@ -227,6 +227,8 @@ def cmd_demo(args) -> int:
         raise IngestionError(f"need 1 <= k <= p, got p = {p}, k = {k}")
     if args.draws < 1:
         raise IngestionError(f"need at least 1 draw, got {args.draws}")
+    if args.seed < 0:
+        raise IngestionError(f"--seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     if args.kind == "macg":
         try:

@@ -6,10 +6,12 @@ estimation during warmup. A transition at step size eps takes 1..n leapfrog
 steps, drawn uniformly, with n = ceil(pi / eps) capped at MAX_LEAPFROG: the
 adapted mass is the inverse variance, so a Gaussian coordinate oscillates
 with period 2 pi, and a path time jittered over (0, pi] leaves it close to
-uncorrelated with its last draw. Chains are independent and deterministic
-given (seed, chain index). They run as one batch in one thread: the target is
-called on the states of all chains at once, and a chain whose trajectory
-has ended leaves the batch until the next transition.
+uncorrelated with its last draw. A trajectory stops at its first non-finite
+state, and the energy error alone decides divergence. The warmup step sizes
+are one record, a (chains, warmup + 1) array of log step sizes. Chains are
+independent and deterministic given (seed, chain index). They run as one
+batch in one thread: the target is called on the states of all chains at
+once, and a chain whose trajectory has ended leaves the batch.
 """
 
 from __future__ import annotations
@@ -64,29 +66,10 @@ class ChainInitializationError(RuntimeError):
     """Warmup never produced a finite, accepted state."""
 
 
-# dual-averaging constants: shrinkage toward log(10 eps0) and the early-iteration offset
+# dual averaging of the log step size (Hoffman & Gelman, JMLR 2014): shrinkage
+# toward log(10 eps0) and the early-iteration offset
 DA_GAMMA = 0.05
 DA_T0 = 10.0
-
-
-class _DualAveraging:
-    """Nesterov dual averaging of log step size (DA_GAMMA, DA_T0), one per chain.
-
-    The chains share the iteration count; accept_prob and log_eps are per chain.
-    """
-
-    def __init__(self, eps0, target, n_chains):
-        self.mu = np.log(10.0 * eps0)
-        self.target = target
-        self.log_eps = np.full(n_chains, np.log(eps0))
-        self.h_bar = np.zeros(n_chains)
-        self.t = 0
-
-    def update(self, accept_prob):
-        self.t += 1
-        eta = 1.0 / (self.t + DA_T0)
-        self.h_bar = (1.0 - eta) * self.h_bar + eta * (self.target - accept_prob)
-        self.log_eps = self.mu - np.sqrt(self.t) / DA_GAMMA * self.h_bar
 
 
 def _evaluate(target, x, rows, evals):
@@ -122,10 +105,11 @@ def leapfrog(target: UnconstrainedTarget, position, momentum, grad, step, steps,
     position, momentum, grad and mass are (chains, dim), with grad the
     gradient at position; step and steps are per chain. Kinetic energy is
     (1/2) m^T M^{-1} m with diagonal M = mass. A chain whose trajectory has
-    ended leaves the batch. Returns (q, m, val, grad, diverged) at the ends of
-    the trajectories; a chain has diverged when the target turns non-finite
-    or raises one of its degenerate-state errors on its way. evals, if given,
-    counts the rows evaluated per chain.
+    ended leaves the batch. Returns (q, m, val, grad) at the ends of the
+    trajectories. A chain whose target turns non-finite or raises one of its
+    degenerate-state errors stops at that step with a NaN value; the caller's
+    energy test counts it as a divergence. evals, if given, counts the rows
+    evaluated per chain.
     """
     n_chains = position.shape[0]
     step = np.broadcast_to(np.asarray(step, dtype=float), (n_chains,))[:, None]
@@ -137,7 +121,6 @@ def leapfrog(target: UnconstrainedTarget, position, momentum, grad, step, steps,
     m = momentum + 0.5 * step * grad
     grad = grad.copy()
     val = np.full(n_chains, np.nan)
-    diverged = np.zeros(n_chains, dtype=bool)
     # the chains still moving, and their states, compacted
     rows = np.arange(n_chains)
     qa, ma, sa, wa, left = q, m, step, mass, steps
@@ -147,7 +130,6 @@ def leapfrog(target: UnconstrainedTarget, position, momentum, grad, step, steps,
         va, ga = _evaluate(target, qa, rows, evals)
         taken += 1
         ok = np.isfinite(va) & np.all(np.isfinite(ga), axis=1)
-        diverged[rows[~ok]] = True
         end = ok & (left == taken)
         r = rows[end]
         q[r], val[r], grad[r] = qa[end], va[end], ga[end]
@@ -155,7 +137,7 @@ def leapfrog(target: UnconstrainedTarget, position, momentum, grad, step, steps,
         keep = ok & ~end
         rows, qa, sa, wa, left = rows[keep], qa[keep], sa[keep], wa[keep], left[keep]
         ma = ma[keep] + sa * ga[keep]
-    return q, m, val, grad, diverged
+    return q, m, val, grad
 
 
 def _path_ceiling(eps):
@@ -169,16 +151,16 @@ def _transition(target, q, val, grad, eps, mass, rngs, evals):
     """One HMC transition of every chain at its step size eps[c].
 
     Chain c draws its path length from 1.._path_ceiling(eps[c]), its momentum
-    and, unless it diverged, its accept uniform from rngs[c]. Returns (q, val,
-    grad, accept_prob, accepted, diverged), per chain.
+    and, unless it diverged, its accept uniform from rngs[c]. The energy error
+    alone decides divergence: above MAX_ENERGY_ERROR or NaN, as it is for a
+    trajectory that stopped at a non-finite state. Returns (q, val, grad,
+    accept_prob, accepted, diverged), per chain.
     """
     n_steps = [rng.integers(1, n + 1) for rng, n in zip(rngs, _path_ceiling(eps))]
     m0 = np.sqrt(mass) * np.array([rng.standard_normal(q.shape[1]) for rng in rngs])
     h0 = -val + 0.5 * np.sum(m0 * m0 / mass, axis=1)
-    # a trajectory that diverged ends at a NaN value, so its energy error is NaN
-    q_new, m, val_new, grad_new, _ = leapfrog(target, q, m0, grad, eps, n_steps, mass, evals)
+    q_new, m, val_new, grad_new = leapfrog(target, q, m0, grad, eps, n_steps, mass, evals)
     delta = -val_new + 0.5 * np.sum(m * m / mass, axis=1) - h0
-    # NaN fails the comparison, so a non-finite energy error is a divergence
     diverged = ~(delta <= MAX_ENERGY_ERROR)
     accept_prob = np.where(diverged, 0.0, np.exp(-np.maximum(delta, 0.0)))
     accepted = np.zeros(len(rngs), dtype=bool)
@@ -220,11 +202,12 @@ def _run_batch(target, config, q, rngs):
         )
 
     mass = np.ones((n_chains, dim))
-    da = _DualAveraging(INIT_STEP_SIZE, config.target_accept, n_chains)
     first, window_ends = _mass_windows(config.warmup)
     # column it: the log step size of warmup iteration it; last: the final update
     log_eps = np.empty((n_chains, config.warmup + 1))
-    log_eps[:, 0] = da.log_eps
+    log_eps[:, 0] = np.log(INIT_STEP_SIZE)
+    mu = np.log(10.0 * INIT_STEP_SIZE)
+    h_bar = np.zeros(n_chains)
     window_draws = []
     any_accept = np.zeros(n_chains, dtype=bool)
 
@@ -233,10 +216,11 @@ def _run_batch(target, config, q, rngs):
             target, q, val, grad, np.exp(log_eps[:, it]), mass, rngs, evals
         )
         any_accept |= accepted
-        da.update(aprob)
-        log_eps[:, it + 1] = da.log_eps
+        eta = 1.0 / (it + 1 + DA_T0)
+        h_bar = (1.0 - eta) * h_bar + eta * (config.target_accept - aprob)
+        log_eps[:, it + 1] = mu - np.sqrt(it + 1) / DA_GAMMA * h_bar
         if it + 1 > first:
-            window_draws.append(q.copy())
+            window_draws.append(q)
         if (it + 1) in window_ends and len(window_draws) >= 10:
             n = len(window_draws)
             var = np.var(window_draws, axis=0, ddof=1)
@@ -249,10 +233,9 @@ def _run_batch(target, config, q, rngs):
 
     stuck = np.flatnonzero(~any_accept)
     if stuck.size:
-        c = stuck[0]
         raise ChainInitializationError(
-            f"chain {c}: every warmup transition diverged or was rejected "
-            f"(final step size {np.exp(log_eps[c, -1]):.3e}); "
+            f"chain {stuck[0]}: every warmup transition diverged or was rejected "
+            f"(final step size {np.exp(log_eps[stuck[0], -1]):.3e}); "
             "check the target or initialization"
         )
 

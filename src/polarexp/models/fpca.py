@@ -59,7 +59,9 @@ class FpcaData:
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
         n, p = y.shape
-        if np.max(np.abs(y.mean(axis=0))) > 1e-8 or np.max(np.abs(y.mean(axis=1))) > 1e-8:
+        # float64 rounding alone leaves means of a few eps * max|y_raw|
+        tol = max(1e-8, 64 * np.finfo(float).eps * np.max(np.abs(self.y_raw)))
+        if np.max(np.abs(y.mean(axis=0))) > tol or np.max(np.abs(y.mean(axis=1))) > tol:
             raise ValueError("y must be doubly centered (row and column means zero)")
         if np.asarray(self.grid).size != p:
             raise ValueError("grid length must match the number of columns")

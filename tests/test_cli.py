@@ -103,9 +103,10 @@ class TestDemo:
             ["--kind", "macg", "--p", "3", "--sigma-diag", "1,nan,2"],
             ["--kind", "sphere", "--p", "3", "--draws", "0"],
             ["--kind", "sphere", "--p", "3", "--draws", "-5"],
+            ["--kind", "sphere", "--p", "3", "--seed", "-1"],
         ],
         ids=["k-above-p", "zero-p", "zero-k", "sigma-text", "sigma-negative", "sigma-nan",
-             "zero-draws", "negative-draws"],
+             "zero-draws", "negative-draws", "negative-seed"],
     )
     def test_exit_1_before_drawing(self, tmp_path, capsys, flags):
         out = tmp_path / "x"
@@ -287,6 +288,17 @@ class TestFpcaCommand:
         assert len(names) == 6
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_large_values(self, tmp_path):
+        # valid data offset by 1e9: rounding alone leaves centred means near 1e-7
+        data = simulate_fpca(6, np.arange(1.0, 13.0), 2, [6.0, 3.0], 0.4, 0.3, 2.4,
+                             np.random.default_rng(11))
+        csv = tmp_path / "temps.csv"
+        csv.write_text("".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                               for row in data.y_raw + 1e9))
+        argv = ["fpca", str(csv), "--k", "2", "--chains", "1", "--warmup", "20",
+                "--samples", "100", "--thin", "5", "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
 
     def test_stride_must_divide(self, tmp_path, capsys):
         csv = tmp_path / "temps.csv"

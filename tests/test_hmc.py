@@ -58,10 +58,8 @@ def energy_error(tgt, q, m, eps, steps, mass=None):
     """The sampler's leapfrog from (q, m), as a batch of one; returns (q, m, energy error)."""
     mass = np.ones_like(q) if mass is None else mass
     val0, grad0 = tgt.value_and_grad(q)
-    q1, m1, val1, _, diverged = leapfrog(
-        tgt, q[None], m[None], grad0[None], eps, steps, mass[None]
-    )
-    assert not diverged[0]
+    q1, m1, val1, _ = leapfrog(tgt, q[None], m[None], grad0[None], eps, steps, mass[None])
+    assert np.isfinite(val1[0])
     h0 = -val0 + 0.5 * float(np.sum(m * m / mass))
     h1 = -val1[0] + 0.5 * float(np.sum(m1[0] * m1[0] / mass))
     return q1[0], m1[0], h1 - h0
@@ -143,8 +141,23 @@ class TestLeapfrog:
 
         tgt = UnconstrainedTarget(dim=1, value_and_grad=vag)
         one = np.ones((1, 1))
-        end = leapfrog(tgt, np.zeros((1, 1)), one, np.zeros((1, 1)), 0.1, 10, one)
-        assert end[-1][0]
+        # the trajectory stops at the bad state with a NaN value
+        _, _, val, _ = leapfrog(tgt, np.zeros((1, 1)), one, np.zeros((1, 1)), 0.1, 10, one)
+        assert np.isnan(val[0])
+        # the transition the sampler runs counts it as a divergence
+        class UpwardRng:
+            # the longest path (32 steps of 0.1) at momentum 1, from 0 past 0.25
+            def integers(self, low, high):
+                return high - 1
+
+            def standard_normal(self, size):
+                return np.ones(size)
+
+        *_, aprob, accepted, diverged = hmc._transition(
+            tgt, np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)), np.array([0.1]), one,
+            [UpwardRng()], np.zeros(1, dtype=int),
+        )
+        assert diverged[0] and aprob[0] == 0.0 and not accepted[0]
 
     def test_degenerate_row_diverges_alone(self):
         # chain 1 crosses into a degenerate region on its third step; the
@@ -160,15 +173,13 @@ class TestLeapfrog:
         q0 = np.array([[-1.0, 0.5], [0.0, 0.0], [-0.8, -0.3]])
         m0 = np.array([[0.2, 0.0], [1.0, 1.0], [0.5, -1.0]])
         evals = np.zeros(3, dtype=int)
-        q, m, val, grad, diverged = leapfrog(
-            tgt, q0, m0, -q0, 0.1, 10, np.ones((3, 2)), evals
-        )
-        np.testing.assert_array_equal(diverged, [False, True, False])
+        q, m, val, grad = leapfrog(tgt, q0, m0, -q0, 0.1, 10, np.ones((3, 2)), evals)
+        np.testing.assert_array_equal(np.isnan(val), [False, True, False])
         keep = [0, 2]
-        q_ref, m_ref, val_ref, grad_ref, div_ref = leapfrog(
+        q_ref, m_ref, val_ref, grad_ref = leapfrog(
             gauss, q0[keep], m0[keep], -q0[keep], 0.1, 10, np.ones((2, 2))
         )
-        assert not np.any(div_ref)
+        assert np.all(np.isfinite(val_ref))
         np.testing.assert_array_equal(q[keep], q_ref)
         np.testing.assert_array_equal(m[keep], m_ref)
         np.testing.assert_array_equal(val[keep], val_ref)
@@ -258,18 +269,28 @@ class TestRunChains:
     @pytest.mark.parametrize("warmup", [1, 5, 9, 200])
     def test_short_warmup_step_size_is_tail_mean(self, warmup, monkeypatch):
         # the frozen step size averages the last max(10, 5%) log step sizes
-        # of warmup, all of them when warmup is shorter than that tail
-        seen = []
-        update = hmc._DualAveraging.update
+        # of warmup, all of them when warmup is shorter than that tail; the
+        # dual-averaging updates are recomputed here from the accept
+        # probabilities of the warmup transitions
+        aprobs = []
+        transition = hmc._transition
 
-        def recording(da, accept_prob):
-            update(da, accept_prob)
-            seen.append(da.log_eps.copy())
+        def recording(*args):
+            out = transition(*args)
+            aprobs.append(out[3])
+            return out
 
-        monkeypatch.setattr(hmc._DualAveraging, "update", recording)
+        monkeypatch.setattr(hmc, "_transition", recording)
         cfg = HmcConfig(chains=2, warmup=warmup, samples=10, seed=25)
         outs = run_chains(gaussian_target(3), cfg)
-        assert len(seen) == warmup
+        # Hoffman & Gelman (2014), Algorithm 5, with gamma 0.05 and t0 10, in
+        # the engine's operation order so that the step sizes match exactly
+        mu, h_bar, seen = np.log(10 * hmc.INIT_STEP_SIZE), np.zeros(2), []
+        for t, aprob in enumerate(aprobs[:warmup], start=1):
+            eta = 1.0 / (t + 10.0)
+            h_bar = (1.0 - eta) * h_bar + eta * (cfg.target_accept - aprob)
+            seen.append(mu - np.sqrt(t) / 0.05 * h_bar)
+        assert len(aprobs) == warmup + cfg.samples
         n_tail = min(warmup, max(10, int(round(0.05 * warmup))))
         for c, out in enumerate(outs):
             assert np.isfinite(out.step_size)
