@@ -105,11 +105,11 @@ def leapfrog(target: UnconstrainedTarget, position, momentum, grad, step, steps,
     position, momentum, grad and mass are (chains, dim), with grad the
     gradient at position; step and steps are per chain. Kinetic energy is
     (1/2) m^T M^{-1} m with diagonal M = mass. A chain whose trajectory has
-    ended leaves the batch. Returns (q, m, val, grad) at the ends of the
-    trajectories. A chain whose target turns non-finite or raises one of its
-    degenerate-state errors stops at that step with a NaN value; the caller's
-    energy test counts it as a divergence. evals, if given, counts the rows
-    evaluated per chain.
+    ended leaves the batch, which is compacted only on steps where a chain
+    ends or fails. Returns (q, m, val, grad) at the ends of the trajectories.
+    A chain whose target turns non-finite or raises one of its degenerate-state
+    errors stops at that step with a NaN value; the caller's energy test
+    counts it as a divergence. evals, if given, counts the rows per chain.
     """
     n_chains = position.shape[0]
     step = np.broadcast_to(np.asarray(step, dtype=float), (n_chains,))[:, None]
@@ -131,12 +131,13 @@ def leapfrog(target: UnconstrainedTarget, position, momentum, grad, step, steps,
         taken += 1
         ok = np.isfinite(va) & np.all(np.isfinite(ga), axis=1)
         end = ok & (left == taken)
-        r = rows[end]
-        q[r], val[r], grad[r] = qa[end], va[end], ga[end]
-        m[r] = ma[end] + 0.5 * sa[end] * ga[end]
-        keep = ok & ~end
-        rows, qa, sa, wa, left = rows[keep], qa[keep], sa[keep], wa[keep], left[keep]
-        ma = ma[keep] + sa * ga[keep]
+        if not ok.all() or end.any():
+            r = rows[end]
+            q[r], val[r], grad[r] = qa[end], va[end], ga[end]
+            m[r] = ma[end] + 0.5 * sa[end] * ga[end]
+            keep = ok & ~end
+            rows, qa, ma, ga, sa, wa, left = (a[keep] for a in (rows, qa, ma, ga, sa, wa, left))
+        ma = ma + sa * ga
     return q, m, val, grad
 
 

@@ -23,8 +23,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from ..distributions import (
+    LOG_2PI,
     Ar1Params,
     SeKernelParams,
     ar1_loglik_grad,
@@ -38,7 +40,7 @@ from ..distributions import (
     se_kernel,
 )
 from ..expansion import UnconstrainedTarget, batched
-from ..matcore import match_columns, polar_decompose, thin_svd
+from ..matcore import IllConditionedError, match_columns, polar_decompose, thin_svd
 
 DEFAULT_RHO_MEAN = 365.0 / (4.0 * np.pi)
 DEFAULT_RHO_SD = 5.0
@@ -63,8 +65,9 @@ class FpcaData:
         tol = max(1e-8, 64 * np.finfo(float).eps * np.max(np.abs(self.y_raw)))
         if np.max(np.abs(y.mean(axis=0))) > tol or np.max(np.abs(y.mean(axis=1))) > tol:
             raise ValueError("y must be doubly centered (row and column means zero)")
-        if np.asarray(self.grid).size != p:
-            raise ValueError("grid length must match the number of columns")
+        grid = np.asarray(self.grid, dtype=float)
+        if grid.shape != (p,) or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
+            raise ValueError("grid must be finite, strictly increasing and one point per column")
 
     @property
     def n(self) -> int:
@@ -193,37 +196,45 @@ def fpca_scalars(eta_d, eta_sigma, eta_phi, eta_rho):
     return np.exp(eta_d), np.exp(eta_sigma), np.tanh(eta_phi), np.exp(eta_rho)
 
 
+def _kernel_terms(sqdist, eye, rho, x_v):
+    """log N(x_v | 0, K(rho), I), its x_v-gradient and its rho-derivative, per state."""
+    p, k = x_v.shape[-2:]
+    lmn, d_rho_mn = np.empty((2, rho.size))
+    g_lmn = np.empty_like(x_v)
+    for i in range(rho.size):
+        # K(rho) in se_kernel's operation order and with its nugget, so equal to it bit for bit
+        kern = np.exp(-sqdist / (2.0 * rho[i] ** 2))
+        kern.flat[:: p + 1] += SeKernelParams.nugget
+        chol, info = dpotrf(kern, lower=1, clean=1)
+        if info > 0:
+            raise IllConditionedError(f"Cholesky of K(rho = {rho[i]:.6g}) failed at minor {info}")
+        solved = dpotrs(chol, x_v[i], lower=1)[0]
+        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        lmn[i] = -0.5 * p * k * LOG_2PI - 0.5 * k * logdet - 0.5 * np.sum(x_v[i] * solved)
+        g_lmn[i] = -solved
+        # dK/drho has entries K_ij * (t_i - t_j)^2 / rho^3 (nugget drops out)
+        kprime = kern * (sqdist / rho[i] ** 3)
+        # K^{-1} = K^{-1} eye; g_lmn = -K^{-1} x_v, so g_lmn g_lmn^T = K^{-1} x_v x_v^T K^{-1}
+        d_rho_mn[i] = (-0.5 * k * np.sum(dpotrs(chol, eye, lower=1)[0] * kprime)
+                       + 0.5 * np.sum((g_lmn[i] @ g_lmn[i].T) * kprime))
+    return lmn, g_lmn, d_rho_mn
+
+
 def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
     """Expanded log posterior over the flat FPCA parameter vector.
 
     Each evaluation factors K(rho) afresh (it depends on the state); a
     Cholesky failure at extreme rho surfaces as an ill-conditioning error,
     which the HMC engine treats as a divergence. A batch of states is
-    evaluated in one pass, except for the kernel, which is built, factored
-    and inverted once per state.
+    evaluated in one pass, except for the kernel: per state, one Cholesky
+    factorisation of K(rho) and two solves with it, for K^{-1} X_V and K^{-1}.
     """
     y = data.y
     grid = np.asarray(data.grid, dtype=float)
     n, p = y.shape
     k = hyper.k
     sqdist = (grid[:, None] - grid[None, :]) ** 2
-
-    def kernel_terms(rho, x_v):
-        """log N(x_v | 0, K(rho), I), its x_v-gradient and its rho-derivative, per state."""
-        lmn = np.empty(rho.size)
-        g_lmn = np.empty_like(x_v)
-        d_rho_mn = np.empty(rho.size)
-        for i in range(rho.size):
-            kern = se_kernel(SeKernelParams(grid=grid, rho=rho[i]))
-            lmn[i], g_lmn[i] = log_matrix_normal_grad(x_v[i], kern)
-            # dK/drho has entries K_ij * (t_i - t_j)^2 / rho^3 (nugget drops out)
-            kprime = kern.mat * (sqdist / rho[i] ** 3)
-            kinv = kern.solve(np.eye(p))
-            # g_lmn = -K^{-1} x_v, so g_lmn g_lmn^T = K^{-1} x_v x_v^T K^{-1}
-            d_rho_mn[i] = -0.5 * k * np.sum(kinv * kprime) + 0.5 * np.sum(
-                (g_lmn[i] @ g_lmn[i].T) * kprime
-            )
-        return lmn, g_lmn, d_rho_mn
+    eye = np.eye(p)
 
     def value_and_grad(theta):
         val = np.full(theta.shape[0], -np.inf)
@@ -252,7 +263,7 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
 
         ll, g_r, d_sig2, d_phi = ar1_loglik_grad(r, phi, sig2)
 
-        lmn_v, g_lmn_v, d_rho_mn = kernel_terms(rho, x_v)
+        lmn_v, g_lmn_v, d_rho_mn = _kernel_terms(sqdist, eye, rho, x_v)
         lmn_u, g_lmn_u = log_matrix_normal_grad(x_u, None)
 
         lp_d, dlp_d = log_halfnormal_grad(d_vec, hyper.tau2)

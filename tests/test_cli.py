@@ -289,6 +289,26 @@ class TestFpcaCommand:
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_determinism_across_processes(self, tmp_path):
+        # two interpreters, one seed: every CSV of the curve command is byte-identical
+        src = Path(polarexp.__file__).resolve().parents[1]
+        csv = tmp_path / "temps.csv"
+        write_fpca_csv(csv, n=6, p=16, seed=9)
+        outs = [tmp_path / "run1", tmp_path / "run2"]
+        for out in outs:
+            done = subprocess.run(
+                [sys.executable, "-m", "polarexp", "fpca", str(csv), "--k", "2", "--chains", "2",
+                 "--warmup", "40", "--samples", "100", "--thin", "5", "--seed", "17",
+                 "--out", str(out)],
+                env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+        names = sorted(f.name for f in outs[0].glob("*.csv"))
+        assert len(names) == 6
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
     def test_large_values(self, tmp_path):
         # valid data offset by 1e9: rounding alone leaves centred means near 1e-7
         data = simulate_fpca(6, np.arange(1.0, 13.0), 2, [6.0, 3.0], 0.4, 0.3, 2.4,

@@ -21,7 +21,14 @@ from polarexp.models import (
     simulate_fpca,
     unpack_fpca_params,
 )
-from polarexp.distributions import ar1_loglik_grad
+from polarexp.distributions import (
+    SeKernelParams,
+    ar1_loglik_grad,
+    log_matrix_normal_grad,
+    se_kernel,
+)
+from polarexp.matcore import IllConditionedError
+from polarexp.models import fpca as fpca_module
 from polarexp.models.fpca import DEFAULT_RHO_MEAN
 
 
@@ -61,6 +68,19 @@ class TestCentering:
         y = center_data(np.random.default_rng(2).standard_normal((4, 6))).y
         with pytest.raises(ValueError, match="grid"):
             FpcaData(y_raw=y, y=y, grid=np.arange(5.0))
+
+    @pytest.mark.parametrize(
+        "grid",
+        [np.arange(6.0, 0.0, -1.0), np.array([1.0, 2.0, 3.0, 3.0, 4.0, 5.0]),
+         np.array([1.0, 2.0, np.nan, 4.0, 5.0, 6.0]), np.arange(6.0).reshape(1, 6)],
+        ids=["reversed", "repeated", "nan", "2-d"],
+    )
+    def test_bad_grid_rejected(self, grid):
+        # the kernel is built from the grid without further checks, so a grid
+        # that is not strictly increasing must fail here, before any sampling
+        y_raw = np.random.default_rng(2).standard_normal((4, 6))
+        with pytest.raises(ValueError, match="grid"):
+            center_data(y_raw, grid=grid)
 
 
 class TestEmpiricalBayes:
@@ -250,6 +270,71 @@ class TestTarget:
             val, grad = target.value_and_grad(theta)
             assert np.isfinite(val)
             assert np.all(np.isfinite(grad))
+
+
+class TestKernelTerms:
+    @staticmethod
+    def reference_terms(grid, calls):
+        """The kernel terms from se_kernel, log_matrix_normal_grad and an explicit K^{-1}."""
+
+        def terms(sqdist, eye, rho, x_v):
+            calls.append(rho.size)
+            k = x_v.shape[-1]
+            lmn, d_rho = np.empty(rho.size), np.empty(rho.size)
+            g_lmn = np.empty_like(x_v)
+            for i in range(rho.size):
+                kern = se_kernel(SeKernelParams(grid=grid, rho=rho[i]))
+                lmn[i], g_lmn[i] = log_matrix_normal_grad(x_v[i], kern)
+                kprime = kern.mat * (sqdist / rho[i] ** 3)
+                kinv = kern.solve(np.eye(kern.dim))
+                d_rho[i] = -0.5 * k * np.sum(kinv * kprime) + 0.5 * np.sum(
+                    (g_lmn[i] @ g_lmn[i].T) * kprime
+                )
+            return lmn, g_lmn, d_rho
+
+        return terms
+
+    @pytest.mark.parametrize("rhos", [(29.0, 11.0), (41.0,)], ids=["two-states", "one-state"])
+    def test_target_equals_reference_bit_for_bit(self, monkeypatch, rhos):
+        data, hyper, rng = TestTarget.make_73_day_grid()
+        target = fpca_target(data, hyper)
+        theta = np.array(fpca_initial_points(data, hyper, len(rhos), 4))
+        theta[:, -1] = np.log(rhos)
+        theta = theta[0] if len(rhos) == 1 else theta
+        val, grad = target.value_and_grad(theta)
+        calls = []
+        monkeypatch.setattr(fpca_module, "_kernel_terms", self.reference_terms(data.grid, calls))
+        ref_val, ref_grad = target.value_and_grad(theta)
+        assert calls == [len(rhos)]
+        np.testing.assert_array_equal(val, ref_val)
+        np.testing.assert_array_equal(grad, ref_grad)
+
+    def test_cholesky_failure_is_a_divergence(self, monkeypatch):
+        # row 1's K(rho) fails to factor; the batched call raises, and leapfrog
+        # ends that row with a NaN value while row 0 runs as it would alone
+        data, hyper, rng = TestTarget.make_73_day_grid()
+        target = fpca_target(data, hyper)
+        x0 = np.array(fpca_initial_points(data, hyper, 2, 5))
+        x0[1, -1] = np.log(5.0)
+        _, g0 = target.value_and_grad(x0)
+        real = fpca_module.dpotrf
+
+        def failing(a, **kwargs):
+            # K_12 = exp(-25 / (2 rho^2)) is 0.98 at rho = 27.5 and 0.61 at rho = 5
+            return real(a if a[0, 1] > 0.9 else -a, **kwargs)
+
+        monkeypatch.setattr(fpca_module, "dpotrf", failing)
+        with pytest.raises(IllConditionedError):
+            target.value_and_grad(x0)
+        m0 = rng.standard_normal(x0.shape)
+        evals = np.zeros(2, dtype=int)
+        out = leapfrog(target, x0, m0, g0, 1e-4, 3, np.ones_like(x0), evals)
+        solo = leapfrog(target, x0[:1], m0[:1], g0[:1], 1e-4, 3, np.ones_like(x0[:1]))
+        assert np.isnan(out[2][1]) and np.isfinite(out[2][0])
+        # row 1: once in the failed batch, once on its own
+        assert evals.tolist() == [4, 2]
+        for got, want in zip(out, solo):
+            np.testing.assert_array_equal(got[:1], want)
 
 
 class TestBatch:

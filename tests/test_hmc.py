@@ -12,7 +12,15 @@ from polarexp.hmc import (
     run_chains,
 )
 from polarexp.matcore import DegenerateMatrixError, SvdConvergenceError
-from polarexp.models import eigenmodel_initial_points, eigenmodel_target, simulate_eigenmodel
+from polarexp.models import (
+    eigenmodel_initial_points,
+    eigenmodel_target,
+    fpca_empirical_bayes,
+    fpca_initial_points,
+    fpca_target,
+    simulate_eigenmodel,
+    simulate_fpca,
+)
 
 
 def gaussian_target(dim, cov=None):
@@ -396,6 +404,20 @@ class TestBatch:
             outs[chains] = run_chains(target, cfg, init=inits)[0]
         np.testing.assert_allclose(outs[4].draws, outs[1].draws, rtol=1e-12, atol=1e-12)
         assert outs[4].step_size == pytest.approx(outs[1].step_size, rel=1e-12)
+
+    def test_chain_zero_does_not_depend_on_chain_count_fpca(self):
+        # 6 stations on 16 days: the kernel is factored per row, the rest batched
+        rng = np.random.default_rng(22)
+        data = simulate_fpca(6, np.linspace(1.0, 365.0, 16), 2, [5.0, 2.5], 0.5, 0.3, 29.0, rng)
+        hyper = fpca_empirical_bayes(data.y, 2)
+        target = fpca_target(data, hyper)
+        outs = {}
+        for chains in (1, 3):
+            cfg = HmcConfig(chains=chains, warmup=100, samples=100, seed=23)
+            inits = fpca_initial_points(data, hyper, chains, cfg.seed)
+            outs[chains] = run_chains(target, cfg, init=inits)[0]
+        np.testing.assert_array_equal(outs[3].draws, outs[1].draws)
+        assert outs[3].step_size == outs[1].step_size
 
     def test_grad_evals_count_every_row(self, monkeypatch):
         # the rows the target saw, initial points included, are the chains'
