@@ -25,6 +25,9 @@ ESS_PHI = 0.5
 ESS_DRAWS = 100_000
 ESS_SEED = 7
 ESS_RTOL = 0.10
+# the mixed batches of the row-independence check, as indices into its 4 states
+ROW_BATCHES = ([2], [3, 0], [1, 3, 2], [0, 2, 1, 3])
+ROW_SEED = 20240302
 
 
 def uniform_circle_target() -> StiefelTarget:
@@ -72,6 +75,16 @@ def quadrature_mass_check():
     }
 
 
+def _eigen_target(rng):
+    q0 = np.linalg.qr(rng.standard_normal((12, 2)))[0]
+    return eigenmodel_target(simulate_eigenmodel(12, 0.0, q0, np.array([4.0, -3.0]), rng), k=2)
+
+
+def _fpca_target(rng):
+    fdata = simulate_fpca(6, np.linspace(1.0, 365.0, 16), 2, [8.0, 5.0], 0.5, 0.3, 40.0, rng)
+    return fpca_target(fdata, fpca_empirical_bayes(fdata.y, 2))
+
+
 def gradient_checks():
     """Finite-difference checks of both model targets at random points."""
     rng = np.random.default_rng(GRADIENT_SEED)
@@ -86,12 +99,39 @@ def gradient_checks():
             "passed": worst.ok,
         }
 
-    q0 = np.linalg.qr(rng.standard_normal((12, 2)))[0]
-    data = simulate_eigenmodel(12, 0.0, q0, np.array([4.0, -3.0]), rng)
-    results = {"eigenmodel": worst_of(eigenmodel_target(data, k=2), 0.8)}
-    grid = np.linspace(1.0, 365.0, 16)
-    fdata = simulate_fpca(6, grid, 2, [8.0, 5.0], 0.5, 0.3, 40.0, rng)
-    results["fpca"] = worst_of(fpca_target(fdata, fpca_empirical_bayes(fdata.y, 2)), 0.5)
+    results = {"eigenmodel": worst_of(_eigen_target(rng), 0.8)}
+    results["fpca"] = worst_of(_fpca_target(rng), 0.5)
+    return results
+
+
+def mixed_batch_mismatches(target, states):
+    """How many rows of the ROW_BATCHES mixes of states differ from solo calls, bit for bit."""
+
+    def row_bytes(val, grad, i):
+        return val[i].tobytes() + grad[i].tobytes()
+
+    solo = [row_bytes(*target.value_and_grad(s[None]), 0) for s in states]
+    mismatches = 0
+    for rows in ROW_BATCHES:
+        val, grad = target.value_and_grad(states[rows])
+        mismatches += sum(row_bytes(val, grad, i) != solo[r] for i, r in enumerate(rows))
+    return mismatches
+
+
+def row_independence_check():
+    """Each model target treats the rows of a batch independently, bit for bit.
+
+    The sampler batches whichever chains are running, so each chain's draws
+    depend only on (seed, chain index) only if a state's value and gradient
+    do not depend on the other states in its call.
+    """
+    rng = np.random.default_rng(ROW_SEED)
+    results = {}
+    for name, target, scale in (("eigenmodel", _eigen_target(rng), 0.8),
+                                ("fpca", _fpca_target(rng), 0.5)):
+        mismatches = mixed_batch_mismatches(target, scale * rng.standard_normal((4, target.dim)))
+        results[name] = {"rows": sum(map(len, ROW_BATCHES)), "mismatched_rows": mismatches,
+                         "passed": mismatches == 0}
     return results
 
 
@@ -117,11 +157,13 @@ def run_all_checks():
         "quadrature": quadrature_mass_check(),
         "gradients": gradient_checks(),
         "ess_oracle": ess_oracle_check(),
+        "row_independence": row_independence_check(),
     }
     ok = (
         report["quadrature"]["passed"]
         and all(r["passed"] for r in report["gradients"].values())
         and report["ess_oracle"]["passed"]
+        and all(r["passed"] for r in report["row_independence"].values())
     )
     report["passed"] = bool(ok)
     return report

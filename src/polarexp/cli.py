@@ -5,7 +5,7 @@ Subcommands
 demo        exact sampling demos (sphere / stiefel / macg) with moment summaries
 eigenmodel  posterior simulation for the probit network eigenmodel
 fpca        Bayesian functional PCA of a station-by-day data matrix
-check       gradient / quadrature / ESS self checks
+check       gradient / quadrature / ESS / row-independence self checks
 
 All commands are deterministic given --seed; every CSV has a header row and
 floats are written with 17 significant digits. Exit codes: 0 success,
@@ -155,6 +155,8 @@ def _write_meta(out_dir, merged, config, outputs, wall_time, **extra):
         "step_sizes": [o.step_size for o in outputs],
         "grad_evals": [o.grad_evals for o in outputs],
         "max_leapfrog": [o.max_leapfrog for o in outputs],
+        "divergence_iterations": [o.divergence_iterations for o in outputs],
+        "ebfmi": [o.ebfmi for o in outputs],
         "warmup_step_sizes": [o.step_size_trace.tolist() for o in outputs],
         "wall_time_seconds": wall_time,
         **extra,
@@ -409,6 +411,10 @@ def cmd_check(args) -> int:
             f"gradient[{name}]: {status} (max rel error {res['max_rel_error']:.3e}"
             f" at coordinate {res['worst_coordinate']})"
         )
+    for name, res in report["row_independence"].items():
+        status = "ok" if res["passed"] else "FAILED"
+        print(f"row_independence[{name}]: {status} ({res['mismatched_rows']} of {res['rows']}"
+              " batched rows differ from their solo evaluation)")
     return 0 if report["passed"] else 2
 
 
@@ -450,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "data", "n x p numeric CSV (optional station-name column)",
                      ("k", "stride", "thin", "pc_multiple"))
 
-    chk = sub.add_parser("check", help="gradient / quadrature / ESS self checks")
+    chk = sub.add_parser("check", help="gradient / quadrature / ESS / row-independence self checks")
     chk.add_argument("--out", required=True)
     chk.set_defaults(func=cmd_check)
     return parser

@@ -1,4 +1,4 @@
-"""Convergence and efficiency diagnostics: ESS, split R-hat, summaries."""
+"""Convergence and efficiency diagnostics: ESS, split R-hat, E-BFMI, summaries."""
 
 from __future__ import annotations
 
@@ -70,6 +70,20 @@ def _geyer_truncation(gamma):
     neg = np.nonzero(pair <= 0)[0]
     cut = neg[0] if neg.size else pair.size
     return 2 * cut, np.minimum.accumulate(pair[:cut])
+
+
+def ebfmi(energy) -> float:
+    """Energy Bayesian fraction of missing information of one chain.
+
+    energy is the Hamiltonian at the start of each sampling transition, in
+    order; E-BFMI = sum (E_n - E_{n-1})^2 / sum (E_n - mean E)^2 (Betancourt,
+    arXiv:1604.00695). Below about 0.3, resampling the momentum moves the
+    energy too little for the chain to explore its energy distribution. NaN
+    for a constant sequence.
+    """
+    e = np.asarray(energy, dtype=float).ravel()
+    spread = np.sum((e - e.mean()) ** 2)
+    return float(np.sum(np.diff(e) ** 2) / spread) if spread > 0 else np.nan
 
 
 def split_rhat(chains) -> float:

@@ -42,8 +42,9 @@ class SeKernelParams:
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
         object.__setattr__(self, "grid", grid)
-        if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be 1-D and strictly increasing")
+        # NaN fails every comparison, so np.diff(grid) <= 0 alone lets it through
+        if grid.ndim != 1 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
+            raise ValueError("grid must be 1-D, finite and strictly increasing")
         if not self.rho > 0:
             raise ValueError(f"need rho > 0, got {self.rho}")
         if self.nugget < 0:

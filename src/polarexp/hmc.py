@@ -3,23 +3,24 @@
 Static-path HMC with jittered leapfrog length, dual-averaging step-size
 adaptation toward a target acceptance rate, and windowed diagonal mass
 estimation during warmup. A transition at step size eps takes 1..n leapfrog
-steps, drawn uniformly, with n = ceil(pi / eps) capped at MAX_LEAPFROG: the
-adapted mass is the inverse variance, so a Gaussian coordinate oscillates
-with period 2 pi, and a path time jittered over (0, pi] leaves it close to
-uncorrelated with its last draw. A trajectory stops at its first non-finite
-state, and the energy error alone decides divergence. The warmup step sizes
-are one record, a (chains, warmup + 1) array of log step sizes. Chains are
-independent and deterministic given (seed, chain index). They run as one
-batch in one thread: the target is called on the states of all chains at
-once, and a chain whose trajectory has ended leaves the batch.
+steps, drawn uniformly, with n = ceil(pi / eps) capped at MAX_LEAPFROG: with
+the mass at the inverse variance a Gaussian coordinate has period 2 pi, and a
+path time jittered over (0, pi] leaves it close to uncorrelated with its last
+draw. A trajectory stops at its first non-finite state, and the energy error
+alone decides divergence. Chains are independent and deterministic given
+(seed, chain index). They run as one batch in one thread, out of step: a
+chain finishes each transition on the step its trajectory ends and joins the
+next call of the target with its next one, until it has done them all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
+from .diagnostics import ebfmi
 from .expansion import UnconstrainedTarget
 from .matcore import DegenerateMatrixError, IllConditionedError
 
@@ -60,6 +61,10 @@ class ChainOutput:
     grad_evals: int
     # the most leapfrog steps a sampling transition may take, from step_size
     max_leapfrog: int
+    # the sampling iterations, from 0, whose transitions diverged
+    divergence_iterations: list
+    # E-BFMI of the starting Hamiltonians of the sampling transitions
+    ebfmi: float
 
 
 class ChainInitializationError(RuntimeError):
@@ -98,46 +103,61 @@ def _evaluate(target, x, rows, evals):
     return val, grad
 
 
+def _integrate(target, b, evals, on_end):
+    """Leapfrog steps for every row of the batch b, until no row is left.
+
+    Row j is chain b.rows[j] mid-trajectory: position q, momentum m half a
+    step ahead, grad at q, step size eps (rows, 1), diagonal mass and left
+    steps to go. Where a trajectory ends, on_end(b, j, val) gets its row at
+    left 0, with m the end momentum, or val NaN if the target failed there,
+    and may start the row's next trajectory; a row left at 0 leaves the batch.
+    """
+    while b.rows.size:
+        b.q += b.eps * b.m / b.mass
+        val, b.grad[...] = _evaluate(target, b.q, b.rows, evals)
+        b.left -= 1
+        ok = np.isfinite(val) & np.all(np.isfinite(b.grad), axis=1)
+        ended = ~ok | (b.left < 1)
+        if not ended.any():
+            b.m += b.eps * b.grad
+            continue
+        kick = np.where(ended, 0.5, 1.0)[:, None] * b.eps  # an ended row's closing half kick
+        b.m[ok] += kick[ok] * b.grad[ok]
+        b.left[ended] = 0
+        for j in np.flatnonzero(ended):
+            on_end(b, j, val[j] if ok[j] else np.nan)
+        if not b.left.all():
+            vars(b).update({name: a[b.left > 0] for name, a in vars(b).items()})
+
+
 def leapfrog(target: UnconstrainedTarget, position, momentum, grad, step, steps, mass,
              evals=None):
     """Run steps[c] >= 1 leapfrog steps for each chain c of a batch.
 
     position, momentum, grad and mass are (chains, dim), with grad the
     gradient at position; step and steps are per chain. Kinetic energy is
-    (1/2) m^T M^{-1} m with diagonal M = mass. A chain whose trajectory has
-    ended leaves the batch, which is compacted only on steps where a chain
-    ends or fails. Returns (q, m, val, grad) at the ends of the trajectories.
-    A chain whose target turns non-finite or raises one of its degenerate-state
-    errors stops at that step with a NaN value; the caller's energy test
-    counts it as a divergence. evals, if given, counts the rows per chain.
+    (1/2) m^T M^{-1} m with diagonal M = mass. This is the sampler's step loop,
+    where a chain whose trajectory has ended leaves the batch. Returns (q, m,
+    val, grad) at the trajectories' ends. A chain whose target turns
+    non-finite or raises a degenerate-state error stops there with a NaN value,
+    which the caller's energy test counts as a divergence. evals, if given,
+    counts the rows per chain.
     """
     n_chains = position.shape[0]
     step = np.broadcast_to(np.asarray(step, dtype=float), (n_chains,))[:, None]
-    steps = np.broadcast_to(np.asarray(steps), (n_chains,))
-    mass = np.broadcast_to(mass, position.shape)
-    if evals is None:
-        evals = np.zeros(n_chains, dtype=int)
-    q = position.copy()
+    evals = np.zeros(n_chains, dtype=int) if evals is None else evals
+    q, grad, val = position.copy(), np.array(grad, dtype=float), np.full(n_chains, np.nan)
     m = momentum + 0.5 * step * grad
-    grad = grad.copy()
-    val = np.full(n_chains, np.nan)
-    # the chains still moving, and their states, compacted
-    rows = np.arange(n_chains)
-    qa, ma, sa, wa, left = q, m, step, mass, steps
-    taken = 0
-    while rows.size:
-        qa = qa + sa * ma / wa
-        va, ga = _evaluate(target, qa, rows, evals)
-        taken += 1
-        ok = np.isfinite(va) & np.all(np.isfinite(ga), axis=1)
-        end = ok & (left == taken)
-        if not ok.all() or end.any():
-            r = rows[end]
-            q[r], val[r], grad[r] = qa[end], va[end], ga[end]
-            m[r] = ma[end] + 0.5 * sa[end] * ga[end]
-            keep = ok & ~end
-            rows, qa, ma, ga, sa, wa, left = (a[keep] for a in (rows, qa, ma, ga, sa, wa, left))
-        ma = ma + sa * ga
+
+    def record(b, j, v):
+        if not np.isnan(v):
+            c = b.rows[j]
+            q[c], m[c], val[c], grad[c] = b.q[j], b.m[j], v, b.grad[j]
+
+    _integrate(target, SimpleNamespace(
+        rows=np.arange(n_chains), q=q.copy(), m=m.copy(), grad=grad.copy(), eps=step,
+        mass=np.broadcast_to(mass, position.shape),
+        left=np.array(np.broadcast_to(steps, (n_chains,)), dtype=int)), evals, record)
     return q, m, val, grad
 
 
@@ -148,29 +168,26 @@ def _path_ceiling(eps):
         return np.clip(np.ceil(np.pi / eps), 1, MAX_LEAPFROG).astype(int)
 
 
-def _transition(target, q, val, grad, eps, mass, rngs, evals):
-    """One HMC transition of every chain at its step size eps[c].
+def _begin(b, j, rng, q, val, grad, eps, mass):
+    """Start row j's transition from (q, val, grad); returns its starting Hamiltonian."""
+    b.left[j] = rng.integers(1, _path_ceiling(eps) + 1)
+    m0 = np.sqrt(mass) * rng.standard_normal(q.size)
+    b.q[j], b.grad[j], b.eps[j], b.mass[j] = q, grad, eps, mass
+    b.m[j] = m0 + 0.5 * eps * grad
+    return -val + 0.5 * np.sum(m0 * m0 / mass)
 
-    Chain c draws its path length from 1.._path_ceiling(eps[c]), its momentum
-    and, unless it diverged, its accept uniform from rngs[c]. The energy error
-    alone decides divergence: above MAX_ENERGY_ERROR or NaN, as it is for a
-    trajectory that stopped at a non-finite state. Returns (q, val, grad,
-    accept_prob, accepted, diverged), per chain.
+
+def _end(b, j, val, h0, rng):
+    """(accept_prob, accepted, diverged) of row j, whose trajectory ended at val.
+
+    The energy error from h0 alone decides divergence: above MAX_ENERGY_ERROR
+    or NaN, as at a failed state (val NaN). Else rng draws the accept uniform.
     """
-    n_steps = [rng.integers(1, n + 1) for rng, n in zip(rngs, _path_ceiling(eps))]
-    m0 = np.sqrt(mass) * np.array([rng.standard_normal(q.shape[1]) for rng in rngs])
-    h0 = -val + 0.5 * np.sum(m0 * m0 / mass, axis=1)
-    q_new, m, val_new, grad_new = leapfrog(target, q, m0, grad, eps, n_steps, mass, evals)
-    delta = -val_new + 0.5 * np.sum(m * m / mass, axis=1) - h0
-    diverged = ~(delta <= MAX_ENERGY_ERROR)
-    accept_prob = np.where(diverged, 0.0, np.exp(-np.maximum(delta, 0.0)))
-    accepted = np.zeros(len(rngs), dtype=bool)
-    for c in np.flatnonzero(~diverged):
-        accepted[c] = rngs[c].random() < accept_prob[c]
-    q = np.where(accepted[:, None], q_new, q)
-    val = np.where(accepted, val_new, val)
-    grad = np.where(accepted[:, None], grad_new, grad)
-    return q, val, grad, accept_prob, accepted, diverged
+    delta = -val + 0.5 * np.sum(b.m[j] * b.m[j] / b.mass[j]) - h0
+    if not delta <= MAX_ENERGY_ERROR:
+        return 0.0, False, True
+    aprob = np.exp(-max(delta, 0.0))
+    return aprob, rng.random() < aprob, False
 
 
 def _mass_windows(n_adapt):
@@ -194,80 +211,76 @@ def _mass_windows(n_adapt):
 def _run_batch(target, config, q, rngs):
     """All chains as one batch from the states q, chain c drawing from rngs[c]."""
     n_chains, dim = q.shape
+    warmup, n_iter = config.warmup, config.warmup + config.samples
     evals = np.zeros(n_chains, dtype=int)
     val, grad = _evaluate(target, q, np.arange(n_chains), evals)
     bad = np.flatnonzero(~np.isfinite(val))
     if bad.size:
-        raise ChainInitializationError(
-            f"chain {bad[0]}: target is non-finite or degenerate at the initial point"
-        )
-
+        raise ChainInitializationError(f"chain {bad[0]}: target is non-finite or degenerate "
+                                       "at the initial point")
+    q, val, grad = (np.array(a, dtype=float) for a in (q, val, grad))  # the chains' states
     mass = np.ones((n_chains, dim))
-    first, window_ends = _mass_windows(config.warmup)
+    first, window_ends = _mass_windows(warmup)
     # column it: the log step size of warmup iteration it; last: the final update
-    log_eps = np.empty((n_chains, config.warmup + 1))
-    log_eps[:, 0] = np.log(INIT_STEP_SIZE)
+    log_eps = np.full((n_chains, warmup + 1), np.log(INIT_STEP_SIZE))
     mu = np.log(10.0 * INIT_STEP_SIZE)
-    h_bar = np.zeros(n_chains)
-    window_draws = []
-    any_accept = np.zeros(n_chains, dtype=bool)
-
-    for it in range(config.warmup):
-        q, val, grad, aprob, accepted, _ = _transition(
-            target, q, val, grad, np.exp(log_eps[:, it]), mass, rngs, evals
-        )
-        any_accept |= accepted
-        eta = 1.0 / (it + 1 + DA_T0)
-        h_bar = (1.0 - eta) * h_bar + eta * (config.target_accept - aprob)
-        log_eps[:, it + 1] = mu - np.sqrt(it + 1) / DA_GAMMA * h_bar
-        if it + 1 > first:
-            window_draws.append(q)
-        if (it + 1) in window_ends and len(window_draws) >= 10:
-            n = len(window_draws)
-            var = np.var(window_draws, axis=0, ddof=1)
-            # shrink toward unit scale, Stan-style regularization; the mass
-            # matrix diagonal is the inverse of the estimated variance so that
-            # position updates move eps * sd per unit momentum
-            var = n / (n + 5.0) * var + 1e-3 * (5.0 / (n + 5.0))
-            mass = 1.0 / np.maximum(var, 1e-10)
-            window_draws = []
-
-    stuck = np.flatnonzero(~any_accept)
-    if stuck.size:
-        raise ChainInitializationError(
-            f"chain {stuck[0]}: every warmup transition diverged or was rejected "
-            f"(final step size {np.exp(log_eps[stuck[0], -1]):.3e}); "
-            "check the target or initialization"
-        )
-
     # freeze at the mean of the last updates; less biased than the dual-averaging
     # iterate average when the adaptation keeps oscillating late in warmup
-    n_tail = min(config.warmup, max(10, int(round(0.05 * config.warmup))))
-    eps = np.exp(np.mean(log_eps[:, -n_tail:], axis=1))
-    draws = np.empty((n_chains, config.samples, dim))
-    max_leapfrog = _path_ceiling(eps)
-    divergences = np.zeros(n_chains, dtype=int)
-    accept_sum = np.zeros(n_chains)
-    for it in range(config.samples):
-        q, val, grad, aprob, _, diverged = _transition(
-            target, q, val, grad, eps, mass, rngs, evals
-        )
-        divergences += diverged
-        accept_sum += aprob
-        draws[:, it] = q
-    return [
-        ChainOutput(
-            draws=draws[c],
-            accept_rate=float(accept_sum[c] / config.samples),
-            divergences=int(divergences[c]),
-            step_size=float(eps[c]),
-            step_size_trace=np.exp(log_eps[c, :-1]),
-            mass_diag=mass[c],
-            grad_evals=int(evals[c]),
-            max_leapfrog=int(max_leapfrog[c]),
-        )
-        for c in range(n_chains)
-    ]
+    n_tail = min(warmup, max(10, int(round(0.05 * warmup))))
+    # per chain: the next step size, transitions done, current starting Hamiltonian
+    eps, done, h0 = np.exp(log_eps[:, 0]), np.zeros(n_chains, dtype=int), np.empty(n_chains)
+    h_bar, accept_sum, any_accept = np.zeros(n_chains), np.zeros(n_chains), np.zeros(n_chains, bool)
+    window_draws, divergence_iterations = [[] for _ in rngs], [[] for _ in rngs]
+    draws, energy = np.empty((n_chains, config.samples, dim)), np.empty((n_chains, config.samples))
+
+    def on_end(b, j, val_end):
+        c = b.rows[j]
+        it = int(done[c])
+        aprob, accepted, diverged = _end(b, j, val_end, h0[c], rngs[c])
+        if accepted:
+            q[c], val[c], grad[c] = b.q[j], val_end, b.grad[j]
+        if it >= warmup:
+            draws[c, it - warmup], energy[c, it - warmup] = q[c], h0[c]
+            accept_sum[c] += aprob
+            if diverged:
+                divergence_iterations[c].append(it - warmup)
+        else:
+            any_accept[c] |= accepted
+            eta = 1.0 / (it + 1 + DA_T0)
+            h_bar[c] = (1.0 - eta) * h_bar[c] + eta * (config.target_accept - aprob)
+            log_eps[c, it + 1] = mu - np.sqrt(it + 1) / DA_GAMMA * h_bar[c]
+            eps[c] = np.exp(log_eps[c, it + 1])
+            if it + 1 > first:
+                window_draws[c].append(q[c].copy())
+            if (it + 1) in window_ends and len(window_draws[c]) >= 10:
+                n = len(window_draws[c])
+                var = np.var(window_draws[c], axis=0, ddof=1)
+                # shrink toward unit scale, Stan-style; the mass diagonal is the inverse
+                # variance, so that position updates move eps * sd per unit momentum
+                var = n / (n + 5.0) * var + 1e-3 * (5.0 / (n + 5.0))
+                mass[c] = 1.0 / np.maximum(var, 1e-10)
+                window_draws[c] = []
+            if it + 1 == warmup:
+                if not any_accept[c]:
+                    raise ChainInitializationError(
+                        f"chain {c}: every warmup transition diverged or was rejected (final "
+                        f"step size {eps[c]:.3e}); check the target or initialization")
+                eps[c] = np.exp(np.mean(log_eps[c, -n_tail:]))
+        done[c] = it + 1
+        if it + 1 < n_iter:
+            h0[c] = _begin(b, j, rngs[c], q[c], val[c], grad[c], eps[c], mass[c])
+
+    batch = SimpleNamespace(rows=np.arange(n_chains), q=q.copy(), m=q.copy(), grad=q.copy(),
+                            eps=np.empty((n_chains, 1)), mass=mass.copy(), left=done.copy())
+    for c in range(n_chains):
+        h0[c] = _begin(batch, c, rngs[c], q[c], val[c], grad[c], eps[c], mass[c])
+    _integrate(target, batch, evals, on_end)
+    return [ChainOutput(draws=draws[c], accept_rate=float(accept_sum[c] / config.samples),
+                        divergences=len(divergence_iterations[c]), step_size=float(eps[c]),
+                        step_size_trace=np.exp(log_eps[c, :-1]), mass_diag=mass[c],
+                        grad_evals=int(evals[c]), max_leapfrog=int(_path_ceiling(eps[c])),
+                        divergence_iterations=divergence_iterations[c], ebfmi=ebfmi(energy[c]))
+            for c in range(n_chains)]
 
 
 # perfbench/launch.py traces the batch through this name
@@ -279,9 +292,9 @@ def run_chains(target: UnconstrainedTarget, config: HmcConfig, init=None):
 
     `init` is None, when chain c starts from iid N(0, 1) coordinates drawn
     from its generator (seeded by (config.seed, c)), or one initial vector per
-    chain, read as a (chains, dim) array. The chains run as one batch in one
-    thread: every gradient evaluation takes the states of all chains still
-    moving. Each chain's draws depend only on (seed, chain index).
+    chain, read as a (chains, dim) array. Every batched gradient evaluation
+    takes the states of all chains with transitions left, in one thread. Each
+    chain's draws depend only on (seed, chain index).
     """
     rngs = [np.random.default_rng([config.seed, c]) for c in range(config.chains)]
     if init is None:

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import polarexp
-from polarexp import cli
+from polarexp import checks, cli
 from polarexp.cli import main
+from polarexp.expansion import UnconstrainedTarget
 from polarexp.models import simulate_eigenmodel, simulate_fpca
 
 
@@ -138,6 +139,10 @@ class TestEigenmodelCommand:
         # each chain's sampling-phase path ceiling, ceil(pi / step size) capped at 32
         assert meta["max_leapfrog"] == [min(32, math.ceil(math.pi / eps))
                                         for eps in meta["step_sizes"]]
+        # each divergence's sampling iteration, and each chain's E-BFMI
+        assert [len(its) for its in meta["divergence_iterations"]] == meta["divergences"]
+        assert all(0 <= it < 150 for its in meta["divergence_iterations"] for it in its)
+        assert len(meta["ebfmi"]) == 2 and all(e > 0 for e in meta["ebfmi"])
         qlq = np.loadtxt(out1 / "qlq_mean.csv", delimiter=",", skiprows=1)
         assert qlq.shape == (8, 8)
         np.testing.assert_allclose(qlq, qlq.T, atol=1e-12)
@@ -525,6 +530,31 @@ class TestCheckCommand:
         assert report["passed"] is True
         assert "quadrature: ok" in captured
         assert "ess_oracle: ok" in captured
+        assert "row_independence[eigenmodel]: ok" in captured
+        assert "row_independence[fpca]: ok" in captured
+        assert report["row_independence"]["fpca"]["mismatched_rows"] == 0
+
+
+class TestRowIndependence:
+    def test_model_targets_pass(self):
+        report = checks.row_independence_check()
+        assert set(report) == {"eigenmodel", "fpca"}
+        assert all(r["passed"] and r["mismatched_rows"] == 0 for r in report.values())
+
+    def test_batch_dependent_target_caught(self):
+        # a row's value shifted by the batch mean depends on the other rows;
+        # a row-wise sum does not
+        states = np.random.default_rng(5).standard_normal((4, 3))
+
+        def shifted(x):
+            val = np.sum(x, axis=1)
+            return val - val.mean(), np.ones_like(x)
+
+        coupled = UnconstrainedTarget(dim=3, value_and_grad=shifted)
+        rowwise = UnconstrainedTarget(dim=3, value_and_grad=lambda x: (np.sum(x * x, axis=1),
+                                                                       2.0 * x))
+        assert checks.mixed_batch_mismatches(coupled, states) > 0
+        assert checks.mixed_batch_mismatches(rowwise, states) == 0
 
 
 def test_module_entry_point():

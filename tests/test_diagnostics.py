@@ -4,6 +4,7 @@ import pytest
 from polarexp.diagnostics import (
     _autocov,
     _geyer_truncation,
+    ebfmi,
     ess,
     split_rhat,
     summarize,
@@ -51,6 +52,20 @@ class TestEss:
             assert lag % 2 == 0
             assert np.all(np.diff(pair) <= 1e-12)
             assert np.all(pair > 0)
+
+
+class TestEbfmi:
+    @pytest.mark.parametrize("energy, expected", [
+        # squared steps 1 + 1 + 1 over squared deviations 4 * 0.25
+        ([0.0, 1.0, 0.0, 1.0], 3.0),
+        # squared steps 1 + 1 + 1 over squared deviations 2.25 + 0.25 + 0.25 + 2.25
+        ([1.0, 2.0, 3.0, 4.0], 0.6),
+    ])
+    def test_hand_built_sequences(self, energy, expected):
+        assert ebfmi(energy) == expected
+
+    def test_constant_energy_is_nan(self):
+        assert np.isnan(ebfmi(np.full(10, 2.5)))
 
 
 class TestSplitRhat:

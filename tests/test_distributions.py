@@ -234,6 +234,12 @@ class TestSeKernel:
         recon = k.chol @ k.chol.T
         assert np.linalg.norm(recon - k.mat) <= 1e-8
 
+    @pytest.mark.parametrize("grid", [[1.0, np.nan, 3.0], [1.0, 2.0, np.inf], [2.0, 1.0, 3.0]])
+    def test_bad_grid_rejected(self, grid):
+        # a NaN point used to pass and fail later in se_kernel, which advised a larger nugget
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SeKernelParams(grid=grid, rho=2.0)
+
     def test_singular_without_nugget_mentions_nugget(self):
         grid = np.linspace(0.0, 10.0, 60)
         with pytest.raises(Exception, match="nugget"):

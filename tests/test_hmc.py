@@ -1,9 +1,11 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from polarexp import hmc
+from polarexp.diagnostics import ebfmi
 from polarexp.expansion import UnconstrainedTarget
 from polarexp.hmc import (
     ChainInitializationError,
@@ -131,7 +133,7 @@ class TestLeapfrog:
         np.testing.assert_array_equal(evals, steps)
 
     @pytest.mark.parametrize("bad", ["nan_value", "nan_grad", "degenerate", "no_convergence"])
-    def test_divergence_reported(self, bad):
+    def test_divergence_reported(self, bad, monkeypatch):
         # the trajectory's third position is past the bad boundary
         def vag(x):
             val, grad = -0.5 * np.sum(x * x, axis=1), -x.copy()
@@ -161,11 +163,20 @@ class TestLeapfrog:
             def standard_normal(self, size):
                 return np.ones(size)
 
-        *_, aprob, accepted, diverged = hmc._transition(
-            tgt, np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)), np.array([0.1]), one,
-            [UpwardRng()], np.zeros(1, dtype=int),
-        )
-        assert diverged[0] and aprob[0] == 0.0 and not accepted[0]
+        ends = []
+        end = hmc._end
+
+        def recording(*args):
+            ends.append(end(*args))
+            return ends[-1]
+
+        monkeypatch.setattr(hmc, "_end", recording)
+        # its one warmup transition, at the initial step size 0.1, diverges, so
+        # the chain never accepted a state
+        with pytest.raises(ChainInitializationError):
+            hmc._run_batch(tgt, HmcConfig(chains=1, warmup=1, samples=1), np.zeros((1, 1)),
+                           [UpwardRng()])
+        assert ends == [(0.0, False, True)]
 
     def test_degenerate_row_diverges_alone(self):
         # chain 1 crosses into a degenerate region on its third step; the
@@ -280,33 +291,33 @@ class TestRunChains:
         # of warmup, all of them when warmup is shorter than that tail; the
         # dual-averaging updates are recomputed here from the accept
         # probabilities of the warmup transitions
-        aprobs = []
-        transition = hmc._transition
+        aprobs = [[], []]
+        end = hmc._end
 
-        def recording(*args):
-            out = transition(*args)
-            aprobs.append(out[3])
+        def recording(b, j, *args):
+            out = end(b, j, *args)
+            aprobs[b.rows[j]].append(out[0])
             return out
 
-        monkeypatch.setattr(hmc, "_transition", recording)
+        monkeypatch.setattr(hmc, "_end", recording)
         cfg = HmcConfig(chains=2, warmup=warmup, samples=10, seed=25)
         outs = run_chains(gaussian_target(3), cfg)
-        # Hoffman & Gelman (2014), Algorithm 5, with gamma 0.05 and t0 10, in
-        # the engine's operation order so that the step sizes match exactly
-        mu, h_bar, seen = np.log(10 * hmc.INIT_STEP_SIZE), np.zeros(2), []
-        for t, aprob in enumerate(aprobs[:warmup], start=1):
-            eta = 1.0 / (t + 10.0)
-            h_bar = (1.0 - eta) * h_bar + eta * (cfg.target_accept - aprob)
-            seen.append(mu - np.sqrt(t) / 0.05 * h_bar)
-        assert len(aprobs) == warmup + cfg.samples
         n_tail = min(warmup, max(10, int(round(0.05 * warmup))))
         for c, out in enumerate(outs):
+            # Hoffman & Gelman (2014), Algorithm 5, with gamma 0.05 and t0 10, in
+            # the engine's operation order so that the step sizes match exactly
+            mu, h_bar, seen = np.log(10 * hmc.INIT_STEP_SIZE), 0.0, []
+            for t, aprob in enumerate(aprobs[c][:warmup], start=1):
+                eta = 1.0 / (t + 10.0)
+                h_bar = (1.0 - eta) * h_bar + eta * (cfg.target_accept - aprob)
+                seen.append(mu - np.sqrt(t) / 0.05 * h_bar)
+            assert len(aprobs[c]) == warmup + cfg.samples
             assert np.isfinite(out.step_size)
-            expected = np.exp(np.mean([log_eps[c] for log_eps in seen[-n_tail:]]))
+            expected = np.exp(np.mean(seen[-n_tail:]))
             assert out.step_size == pytest.approx(expected, rel=1e-12)
             # each iteration runs at the step size of the update before it
             trace = [np.exp(np.log(hmc.INIT_STEP_SIZE))]
-            trace += [np.exp(log_eps[c]) for log_eps in seen[:-1]]
+            trace += [np.exp(log_eps) for log_eps in seen[:-1]]
             np.testing.assert_array_equal(out.step_size_trace, trace)
 
     def test_mass_adaptation_on_anisotropic_target(self):
@@ -326,7 +337,11 @@ def linear_target(dim):
 
 
 def most_steps(eps, transitions, seed):
-    """The most leapfrog steps each chain took in `transitions` transitions at step sizes eps."""
+    """The most leapfrog steps each chain took in `transitions` transitions at step sizes eps.
+
+    The chains run through the sampler's own transition functions, as in
+    hmc._run_batch, with the step sizes held fixed.
+    """
     tgt = linear_target(3)
     eps = np.array(eps)
     n_chains = eps.size
@@ -334,12 +349,26 @@ def most_steps(eps, transitions, seed):
     q = np.zeros((n_chains, 3))
     val, grad = tgt.value_and_grad(q)
     mass = np.ones_like(q)
-    evals = np.zeros(n_chains, dtype=int)
-    most = np.zeros(n_chains, dtype=int)
-    for _ in range(transitions):
-        before = evals.copy()
-        q, val, grad, *_ = hmc._transition(tgt, q, val, grad, eps, mass, rngs, evals)
-        most = np.maximum(most, evals - before)
+    evals, before, done, most = (np.zeros(n_chains, dtype=int) for _ in range(4))
+    h0 = np.empty(n_chains)
+    batch = SimpleNamespace(rows=np.arange(n_chains), q=q.copy(), m=q.copy(), grad=q.copy(),
+                            eps=np.empty((n_chains, 1)), mass=mass.copy(), left=done.copy())
+
+    def on_end(b, j, val_end):
+        c = b.rows[j]
+        most[c] = max(most[c], evals[c] - before[c])
+        before[c] = evals[c]
+        _, accepted, _ = hmc._end(b, j, val_end, h0[c], rngs[c])
+        if accepted:
+            q[c], val[c], grad[c] = b.q[j], val_end, b.grad[j]
+        done[c] += 1
+        if done[c] < transitions:
+            h0[c] = hmc._begin(b, j, rngs[c], q[c], val[c], grad[c], eps[c], mass[c])
+
+    for c in range(n_chains):
+        h0[c] = hmc._begin(batch, c, rngs[c], q[c], val[c], grad[c], eps[c], mass[c])
+    hmc._integrate(tgt, batch, evals, on_end)
+    assert np.all(done == transitions)
     return most
 
 
@@ -421,7 +450,7 @@ class TestBatch:
 
     def test_grad_evals_count_every_row(self, monkeypatch):
         # the rows the target saw, initial points included, are the chains'
-        # counts: a chain whose trajectory ended was not evaluated further
+        # counts: a chain that finished its transitions was not evaluated further
         monkeypatch.setattr(hmc, "INIT_STEP_SIZE", 2.0)
         monkeypatch.setattr(hmc, "MAX_ENERGY_ERROR", 25.0)
         tgt, rows = counting(funnel_target())
@@ -430,3 +459,179 @@ class TestBatch:
         assert sum(o.divergences for o in outs) > 0
         assert sum(o.grad_evals for o in outs) == sum(rows)
         assert max(rows) == 3 and min(rows) == 1
+
+    def test_every_call_carries_every_running_chain(self):
+        # chains run out of step: until the first chain has finished its last
+        # transition every call carries all four, and the chain that finishes
+        # last is in every call
+        tgt, rows = counting(gaussian_target(5, np.diag([1.0, 2.0, 0.5, 3.0, 1.0])))
+        outs = run_chains(tgt, HmcConfig(chains=4, warmup=100, samples=200, seed=30))
+        evals = [o.grad_evals for o in outs]
+        assert rows[: min(evals)] == [4] * min(evals)
+        assert len(rows) == max(evals) and sum(rows) == sum(evals)
+        assert rows == sorted(rows, reverse=True)
+
+    def test_divergence_iterations_and_ebfmi(self, monkeypatch):
+        # each sampling transition's divergence flag and starting Hamiltonian,
+        # recorded at the engine's own _begin and _end, give the run's record
+        monkeypatch.setattr(hmc, "INIT_STEP_SIZE", 2.0)
+        monkeypatch.setattr(hmc, "MAX_ENERGY_ERROR", 25.0)
+        cfg = HmcConfig(chains=3, warmup=100, samples=300, seed=31)
+        flags, energies = [[] for _ in range(3)], [[] for _ in range(3)]
+        begin, end = hmc._begin, hmc._end
+
+        def begin_recording(b, j, *args):
+            energies[b.rows[j]].append(begin(b, j, *args))
+            return energies[b.rows[j]][-1]
+
+        def end_recording(b, j, *args):
+            out = end(b, j, *args)
+            flags[b.rows[j]].append(out[2])
+            return out
+
+        monkeypatch.setattr(hmc, "_begin", begin_recording)
+        monkeypatch.setattr(hmc, "_end", end_recording)
+        outs = run_chains(funnel_target(), cfg)
+        assert sum(o.divergences for o in outs) > 0
+        for c, out in enumerate(outs):
+            assert len(out.divergence_iterations) == out.divergences
+            assert all(0 <= it < cfg.samples for it in out.divergence_iterations)
+            assert out.divergence_iterations == np.flatnonzero(flags[c][cfg.warmup:]).tolist()
+            assert out.ebfmi == ebfmi(energies[c][cfg.warmup:])
+            assert np.isfinite(out.ebfmi) and out.ebfmi > 0
+
+
+# The lockstep engine that the out-of-step one replaced, kept as a reference:
+# every chain ran each transition in step with the others, and a transition
+# ended when the longest of its trajectories did.
+
+
+def lockstep_leapfrog(target, position, momentum, grad, step, steps, mass, evals):
+    n_chains = position.shape[0]
+    step = np.broadcast_to(np.asarray(step, dtype=float), (n_chains,))[:, None]
+    steps = np.broadcast_to(np.asarray(steps), (n_chains,))
+    mass = np.broadcast_to(mass, position.shape)
+    q = position.copy()
+    m = momentum + 0.5 * step * grad
+    grad = grad.copy()
+    val = np.full(n_chains, np.nan)
+    rows = np.arange(n_chains)
+    qa, ma, sa, wa, left = q, m, step, mass, steps
+    taken = 0
+    while rows.size:
+        qa = qa + sa * ma / wa
+        va, ga = hmc._evaluate(target, qa, rows, evals)
+        taken += 1
+        ok = np.isfinite(va) & np.all(np.isfinite(ga), axis=1)
+        end = ok & (left == taken)
+        if not ok.all() or end.any():
+            r = rows[end]
+            q[r], val[r], grad[r] = qa[end], va[end], ga[end]
+            m[r] = ma[end] + 0.5 * sa[end] * ga[end]
+            keep = ok & ~end
+            rows, qa, ma, ga, sa, wa, left = (a[keep] for a in (rows, qa, ma, ga, sa, wa, left))
+        ma = ma + sa * ga
+    return q, m, val, grad
+
+
+def lockstep_transition(target, q, val, grad, eps, mass, rngs, evals):
+    n_steps = [rng.integers(1, n + 1) for rng, n in zip(rngs, hmc._path_ceiling(eps))]
+    m0 = np.sqrt(mass) * np.array([rng.standard_normal(q.shape[1]) for rng in rngs])
+    h0 = -val + 0.5 * np.sum(m0 * m0 / mass, axis=1)
+    q_new, m, val_new, grad_new = lockstep_leapfrog(target, q, m0, grad, eps, n_steps, mass,
+                                                    evals)
+    delta = -val_new + 0.5 * np.sum(m * m / mass, axis=1) - h0
+    diverged = ~(delta <= hmc.MAX_ENERGY_ERROR)
+    accept_prob = np.where(diverged, 0.0, np.exp(-np.maximum(delta, 0.0)))
+    accepted = np.zeros(len(rngs), dtype=bool)
+    for c in np.flatnonzero(~diverged):
+        accepted[c] = rngs[c].random() < accept_prob[c]
+    q = np.where(accepted[:, None], q_new, q)
+    val = np.where(accepted, val_new, val)
+    grad = np.where(accepted[:, None], grad_new, grad)
+    return q, val, grad, accept_prob, accepted, diverged
+
+
+def lockstep_run_batch(target, config, q, rngs):
+    n_chains, dim = q.shape
+    evals = np.zeros(n_chains, dtype=int)
+    val, grad = hmc._evaluate(target, q, np.arange(n_chains), evals)
+    mass = np.ones((n_chains, dim))
+    first, window_ends = hmc._mass_windows(config.warmup)
+    log_eps = np.empty((n_chains, config.warmup + 1))
+    log_eps[:, 0] = np.log(hmc.INIT_STEP_SIZE)
+    mu = np.log(10.0 * hmc.INIT_STEP_SIZE)
+    h_bar = np.zeros(n_chains)
+    window_draws = []
+    for it in range(config.warmup):
+        q, val, grad, aprob, accepted, _ = lockstep_transition(
+            target, q, val, grad, np.exp(log_eps[:, it]), mass, rngs, evals
+        )
+        eta = 1.0 / (it + 1 + hmc.DA_T0)
+        h_bar = (1.0 - eta) * h_bar + eta * (config.target_accept - aprob)
+        log_eps[:, it + 1] = mu - np.sqrt(it + 1) / hmc.DA_GAMMA * h_bar
+        if it + 1 > first:
+            window_draws.append(q)
+        if (it + 1) in window_ends and len(window_draws) >= 10:
+            n = len(window_draws)
+            var = np.var(window_draws, axis=0, ddof=1)
+            var = n / (n + 5.0) * var + 1e-3 * (5.0 / (n + 5.0))
+            mass = 1.0 / np.maximum(var, 1e-10)
+            window_draws = []
+    n_tail = min(config.warmup, max(10, int(round(0.05 * config.warmup))))
+    eps = np.exp(np.mean(log_eps[:, -n_tail:], axis=1))
+    draws = np.empty((n_chains, config.samples, dim))
+    divergences = np.zeros(n_chains, dtype=int)
+    accept_sum = np.zeros(n_chains)
+    for it in range(config.samples):
+        q, val, grad, aprob, _, diverged = lockstep_transition(
+            target, q, val, grad, eps, mass, rngs, evals
+        )
+        divergences += diverged
+        accept_sum += aprob
+        draws[:, it] = q
+    return [
+        dict(draws=draws[c], accept_rate=float(accept_sum[c] / config.samples),
+             divergences=int(divergences[c]), step_size=float(eps[c]),
+             step_size_trace=np.exp(log_eps[c, :-1]), mass_diag=mass[c],
+             grad_evals=int(evals[c]))
+        for c in range(n_chains)
+    ]
+
+
+class TestLockstepReference:
+    """Each chain's arithmetic and generator order are those of the lockstep engine."""
+
+    @staticmethod
+    def assert_same_as_lockstep(target, config, init):
+        outs = run_chains(target, config, init=init)
+        rngs = [np.random.default_rng([config.seed, c]) for c in range(config.chains)]
+        refs = lockstep_run_batch(target, config, np.array(init, dtype=float), rngs)
+        for out, ref in zip(outs, refs):
+            for name in ("draws", "step_size_trace", "mass_diag"):
+                np.testing.assert_array_equal(getattr(out, name), ref[name])
+            for name in ("accept_rate", "divergences", "step_size", "grad_evals"):
+                assert getattr(out, name) == ref[name], name
+        return outs
+
+    def test_anisotropic_gaussian(self):
+        cfg = HmcConfig(chains=4, warmup=150, samples=200, seed=40)
+        init = np.random.default_rng(40).standard_normal((4, 6))
+        cov = np.diag([0.01, 0.5, 1.0, 4.0, 25.0, 100.0])
+        self.assert_same_as_lockstep(gaussian_target(6, cov), cfg, init)
+
+    def test_funnel_with_divergences(self, monkeypatch):
+        monkeypatch.setattr(hmc, "INIT_STEP_SIZE", 2.0)
+        monkeypatch.setattr(hmc, "MAX_ENERGY_ERROR", 25.0)
+        cfg = HmcConfig(chains=3, warmup=100, samples=200, seed=41)
+        init = np.random.default_rng(41).standard_normal((3, 10))
+        outs = self.assert_same_as_lockstep(funnel_target(), cfg, init)
+        assert sum(o.divergences for o in outs) > 0
+
+    def test_eigenmodel(self):
+        rng = np.random.default_rng(42)
+        q = np.linalg.qr(rng.standard_normal((10, 2)))[0]
+        data = simulate_eigenmodel(10, -0.3, q, np.array([4.0, -3.0]) * np.sqrt(10), rng)
+        cfg = HmcConfig(chains=4, warmup=100, samples=100, seed=42)
+        init = eigenmodel_initial_points(data, 2, 4, cfg.seed)
+        self.assert_same_as_lockstep(eigenmodel_target(data, k=2), cfg, init)
