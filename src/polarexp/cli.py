@@ -8,8 +8,8 @@ fpca        Bayesian functional PCA of a station-by-day data matrix
 check       gradient / quadrature / ESS / row-independence self checks
 
 All commands are deterministic given --seed; every CSV has a header row and
-floats are written with 17 significant digits. Exit codes: 0 success,
-1 usage or ingestion error, 2 numerical failure.
+floats are written with 17 significant digits. Exit codes: 0 success, 1 an
+`InputError` or `OSError`, 2 any other `ValueError` or a failed chain start.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from . import __version__
 from .diagnostics import MIN_DRAWS, SummaryRow, summarize
 from .distributions import sample_macg, sample_uniform_stiefel
 from .hmc import ChainInitializationError, HmcConfig, run_chains
-from .matcore import SpdMatrix, polar_decompose, thin_svd
+from .matcore import InputError, SpdMatrix, polar_decompose, thin_svd
 from .models import (
     EigenmodelData,
     align_eigen_draws,
@@ -43,10 +43,6 @@ from .models import (
     unpack_eigen_params,
     unpack_fpca_params,
 )
-
-
-class IngestionError(ValueError):
-    """Bad input data or configuration (exit code 1)."""
 
 
 def _write_csv(path, header, rows):
@@ -71,16 +67,23 @@ def _write_chain_table(path, names, draws):
     _write_csv(path, ["iteration", "chain", *names], table)
 
 
+def _read_text(path):
+    """A UTF-8 file's text less a byte-order mark, which would join the first key or cell."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _load_config_file(path):
     """key = value lines; '#' starts a comment."""
     values = {}
-    # utf-8-sig drops a byte-order mark, which would otherwise join the first key
-    for raw in Path(path).read_text(encoding="utf-8-sig").splitlines():
+    for raw in _read_text(path).splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise IngestionError(f"bad config line: {raw!r}")
+            raise InputError(f"bad config line: {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
         values[key.replace("-", "_")] = val
     return values
@@ -109,11 +112,11 @@ def _resolve_options(args):
     if args.config:
         for key, val in _load_config_file(args.config).items():
             if key not in merged:
-                raise IngestionError(f"unknown config key: {key}")
+                raise InputError(f"unknown config key: {key}")
             try:
                 merged[key] = _OPTIONS[key][0](val)
             except ValueError:
-                raise IngestionError(f"bad value for config key {key}: {val!r}") from None
+                raise InputError(f"bad value for config key {key}: {val!r}") from None
     for key in merged:
         flag = getattr(args, key)
         if flag is not None:
@@ -122,14 +125,11 @@ def _resolve_options(args):
 
 
 def _hmc_config(merged) -> HmcConfig:
-    """Sampler settings from the merged options; every bad value is an input error."""
-    try:
-        config = HmcConfig(**{name: merged[name] for name in _SAMPLER_OPTIONS})
-    except ValueError as exc:
-        raise IngestionError(str(exc)) from None
+    """Sampler settings from the merged options."""
+    config = HmcConfig(**{name: merged[name] for name in _SAMPLER_OPTIONS})
     # the ESS and R-hat summaries need this many draws; fail now, not after sampling
     if config.samples < MIN_DRAWS:
-        raise IngestionError(f"need at least {MIN_DRAWS} samples, got {config.samples}")
+        raise InputError(f"need at least {MIN_DRAWS} samples, got {config.samples}")
     return config
 
 
@@ -168,10 +168,9 @@ def _write_meta(out_dir, merged, config, outputs, wall_time, **extra):
 
 def _read_numeric_csv(path):
     """CSV to a 2-D float array; auto-detects and drops a header row and a label column."""
-    # utf-8-sig drops a byte-order mark, which would make the first row a header
-    lines = [ln for ln in Path(path).read_text(encoding="utf-8-sig").splitlines() if ln.strip()]
+    lines = [ln for ln in _read_text(path).splitlines() if ln.strip()]
     if not lines:
-        raise IngestionError(f"{path}: empty file")
+        raise InputError(f"{path}: empty file")
     rows = [ln.split(",") for ln in lines]
 
     def numeric(cell):
@@ -184,7 +183,7 @@ def _read_numeric_csv(path):
     start = 0 if all(numeric(c) for c in rows[0]) else 1
     body = rows[start:]
     if not body:
-        raise IngestionError(f"{path}: no data rows")
+        raise InputError(f"{path}: no data rows")
     has_labels = not numeric(body[0][0])
     data = []
     for i, r in enumerate(body):
@@ -194,18 +193,18 @@ def _read_numeric_csv(path):
             try:
                 vals.append(float(c))
             except ValueError:
-                raise IngestionError(
+                raise InputError(
                     f"{path}: non-numeric cell at data row {i + 1}, column {j + 1}: {c!r}"
                 ) from None
         data.append(vals)
     widths = {len(r) for r in data}
     if len(widths) != 1:
-        raise IngestionError(f"{path}: ragged rows (widths {sorted(widths)})")
+        raise InputError(f"{path}: ragged rows (widths {sorted(widths)})")
     mat = np.asarray(data, dtype=float)
     bad = np.argwhere(~np.isfinite(mat))
     if bad.size:
         i, j = bad[0]
-        raise IngestionError(
+        raise InputError(
             f"{path}: non-finite cell at data row {i + 1}, column {j + 1}: {mat[i, j]:g}"
         )
     return mat
@@ -213,11 +212,10 @@ def _read_numeric_csv(path):
 
 def _load_adjacency(path) -> EigenmodelData:
     mat = _read_numeric_csv(path)
-    np.fill_diagonal(mat, 0.0)
     try:
         return EigenmodelData(y=mat)
-    except ValueError as exc:
-        raise IngestionError(f"{path}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------- demo
@@ -226,11 +224,11 @@ def _load_adjacency(path) -> EigenmodelData:
 def cmd_demo(args) -> int:
     p, k = args.p, 1 if args.kind == "sphere" else args.k
     if not 1 <= k <= p:
-        raise IngestionError(f"need 1 <= k <= p, got p = {p}, k = {k}")
+        raise InputError(f"need 1 <= k <= p, got p = {p}, k = {k}")
     if args.draws < 1:
-        raise IngestionError(f"need at least 1 draw, got {args.draws}")
+        raise InputError(f"need at least 1 draw, got {args.draws}")
     if args.seed < 0:
-        raise IngestionError(f"--seed must be non-negative, got {args.seed}")
+        raise InputError(f"--seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     if args.kind == "macg":
         try:
@@ -240,13 +238,13 @@ def cmd_demo(args) -> int:
                 else np.array([float(s) for s in args.sigma_diag.split(",")])
             )
         except ValueError:
-            raise IngestionError(
+            raise InputError(
                 f"--sigma-diag has a non-numeric entry: {args.sigma_diag!r}"
             ) from None
         if diag.size != p:
-            raise IngestionError(f"--sigma-diag needs {p} entries, got {diag.size}")
+            raise InputError(f"--sigma-diag needs {p} entries, got {diag.size}")
         if not np.all(np.isfinite(diag) & (diag > 0)):
-            raise IngestionError(
+            raise InputError(
                 f"--sigma-diag entries must be finite and positive, got {args.sigma_diag!r}"
             )
         sigma = SpdMatrix(np.diag(diag))
@@ -284,8 +282,6 @@ def cmd_eigenmodel(args) -> int:
     config = _hmc_config(merged)
     data = _load_adjacency(args.adjacency)
     p, k = data.p, merged["k"]
-    if not 1 <= k <= p:
-        raise IngestionError(f"need 1 <= k <= {p} on a {p}-node graph, got k = {k}")
     target = eigenmodel_target(data, k=k)
     inits = eigenmodel_initial_points(data, k, config.chains, config.seed)
     out = Path(args.out)
@@ -319,20 +315,18 @@ def cmd_fpca(args) -> int:
     config = _hmc_config(merged)
     stride, k, thin, multiple = (merged[name] for name in ("stride", "k", "thin", "pc_multiple"))
     if thin < 1:
-        raise IngestionError(f"need thin >= 1, got {thin}")
+        raise InputError(f"need thin >= 1, got {thin}")
     if multiple is not None and not np.isfinite(multiple):
-        raise IngestionError(f"pc_multiple must be finite, got {multiple}")
+        raise InputError(f"pc_multiple must be finite, got {multiple}")
     y_raw_full = _read_numeric_csv(args.data)
     n, p_full = y_raw_full.shape
     if stride < 1 or p_full % stride != 0:
-        raise IngestionError(
+        raise InputError(
             f"stride {stride} does not divide the {p_full}-column grid"
         )
     y_raw = y_raw_full[:, ::stride]
     grid = np.arange(1.0, p_full + 1.0)[::stride]
     p = y_raw.shape[1]
-    if not 1 <= k < min(n, p):
-        raise IngestionError(f"need 1 <= k < min(n, p) = {min(n, p)}, got k = {k}")
 
     data = center_data(y_raw, grid=grid)
     hyper = fpca_empirical_bayes(data.y, k)
@@ -467,7 +461,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (IngestionError, FileNotFoundError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ChainInitializationError, ValueError) as exc:

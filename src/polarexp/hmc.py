@@ -22,7 +22,7 @@ import numpy as np
 
 from .diagnostics import ebfmi
 from .expansion import UnconstrainedTarget
-from .matcore import DegenerateMatrixError, IllConditionedError
+from .matcore import DegenerateMatrixError, IllConditionedError, InputError
 
 _RECOVERABLE = (DegenerateMatrixError, IllConditionedError, FloatingPointError)
 # the step size that dual averaging starts from
@@ -43,11 +43,11 @@ class HmcConfig:
 
     def __post_init__(self):
         if self.warmup <= 0 or self.samples <= 0 or self.chains <= 0:
-            raise ValueError("chains, warmup and samples must be positive")
+            raise InputError("chains, warmup and samples must be positive")
         if not 0.0 < self.target_accept < 1.0:
-            raise ValueError("target_accept must lie in (0, 1)")
+            raise InputError("target_accept must lie in (0, 1)")
         if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+            raise InputError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -168,9 +168,9 @@ def _path_ceiling(eps):
         return np.clip(np.ceil(np.pi / eps), 1, MAX_LEAPFROG).astype(int)
 
 
-def _begin(b, j, rng, q, val, grad, eps, mass):
-    """Start row j's transition from (q, val, grad); returns its starting Hamiltonian."""
-    b.left[j] = rng.integers(1, _path_ceiling(eps) + 1)
+def _begin(b, j, rng, q, val, grad, eps, mass, ceiling):
+    """Start row j's transition of 1..ceiling steps at (q, val, grad); returns its h0."""
+    b.left[j] = rng.integers(1, ceiling + 1)
     m0 = np.sqrt(mass) * rng.standard_normal(q.size)
     b.q[j], b.grad[j], b.eps[j], b.mass[j] = q, grad, eps, mass
     b.m[j] = m0 + 0.5 * eps * grad
@@ -229,6 +229,7 @@ def _run_batch(target, config, q, rngs):
     n_tail = min(warmup, max(10, int(round(0.05 * warmup))))
     # per chain: the next step size, transitions done, current starting Hamiltonian
     eps, done, h0 = np.exp(log_eps[:, 0]), np.zeros(n_chains, dtype=int), np.empty(n_chains)
+    ceiling = _path_ceiling(eps)  # per chain, updated wherever eps changes
     h_bar, accept_sum, any_accept = np.zeros(n_chains), np.zeros(n_chains), np.zeros(n_chains, bool)
     window_draws, divergence_iterations = [[] for _ in rngs], [[] for _ in rngs]
     draws, energy = np.empty((n_chains, config.samples, dim)), np.empty((n_chains, config.samples))
@@ -266,19 +267,20 @@ def _run_batch(target, config, q, rngs):
                         f"chain {c}: every warmup transition diverged or was rejected (final "
                         f"step size {eps[c]:.3e}); check the target or initialization")
                 eps[c] = np.exp(np.mean(log_eps[c, -n_tail:]))
+            ceiling[c] = _path_ceiling(eps[c])
         done[c] = it + 1
         if it + 1 < n_iter:
-            h0[c] = _begin(b, j, rngs[c], q[c], val[c], grad[c], eps[c], mass[c])
+            h0[c] = _begin(b, j, rngs[c], q[c], val[c], grad[c], eps[c], mass[c], ceiling[c])
 
     batch = SimpleNamespace(rows=np.arange(n_chains), q=q.copy(), m=q.copy(), grad=q.copy(),
                             eps=np.empty((n_chains, 1)), mass=mass.copy(), left=done.copy())
     for c in range(n_chains):
-        h0[c] = _begin(batch, c, rngs[c], q[c], val[c], grad[c], eps[c], mass[c])
+        h0[c] = _begin(batch, c, rngs[c], q[c], val[c], grad[c], eps[c], mass[c], ceiling[c])
     _integrate(target, batch, evals, on_end)
     return [ChainOutput(draws=draws[c], accept_rate=float(accept_sum[c] / config.samples),
                         divergences=len(divergence_iterations[c]), step_size=float(eps[c]),
                         step_size_trace=np.exp(log_eps[c, :-1]), mass_diag=mass[c],
-                        grad_evals=int(evals[c]), max_leapfrog=int(_path_ceiling(eps[c])),
+                        grad_evals=int(evals[c]), max_leapfrog=int(ceiling[c]),
                         divergence_iterations=divergence_iterations[c], ebfmi=ebfmi(energy[c]))
             for c in range(n_chains)]
 

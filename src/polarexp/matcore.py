@@ -35,6 +35,10 @@ class SvdConvergenceError(DegenerateMatrixError):
     """The SVD iteration did not converge."""
 
 
+class InputError(ValueError):
+    """Bad data, option or model setting, refused where it is read, before any sampling."""
+
+
 class SpdMatrix:
     """Symmetric positive definite matrix with a cached lower Cholesky factor.
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from ..expansion import UnconstrainedTarget, batched
-from ..matcore import check_stiefel, match_columns, polar_decompose
+from ..matcore import InputError, check_stiefel, match_columns, polar_decompose
 from ..matcore import thin_svd  # noqa: F401  (perfbench/launch.py patches it here)
 
 _LOG_NORM_CONST = -0.5 * np.log(2.0 * np.pi)
@@ -32,18 +32,18 @@ class EigenmodelData:
     def __post_init__(self):
         y = np.array(self.y, dtype=float)
         if y.ndim != 2 or y.shape[0] != y.shape[1]:
-            raise ValueError(f"adjacency must be square, got shape {y.shape}")
+            raise InputError(f"adjacency must be square, got shape {y.shape}")
         if y.shape[0] < 2:
-            raise ValueError(f"adjacency needs at least 2 nodes, got {y.shape[0]}")
+            raise InputError(f"adjacency needs at least 2 nodes, got {y.shape[0]}")
         # report the first bad cell of the upper triangle, in row-major order
         bad = np.argwhere(np.triu((y != y.T) | ~np.isin(y, (0, 1)), 1))
         if bad.size:
             i, j = bad[0]
             if y[i, j] != y[j, i]:
-                raise ValueError(
+                raise InputError(
                     f"asymmetric at cell ({i + 1}, {j + 1}): {y[i, j]:g} vs {y[j, i]:g}"
                 )
-            raise ValueError(
+            raise InputError(
                 f"non-binary cell ({i + 1}, {j + 1}): {y[i, j]:g}; "
                 "off-diagonal entries must be 0 or 1"
             )
@@ -81,9 +81,11 @@ def eigenmodel_target(data: EigenmodelData, k: int) -> UnconstrainedTarget:
 
     The dyad log likelihood uses log Phi evaluated through a stable
     complementary-error-function path, finite out to |eta| ~ 40. A batch of
-    states is evaluated in one pass, with one stacked SVD.
+    states is evaluated in one pass, with one stacked SVD. k must lie in 1..p.
     """
     p = data.p
+    if not 1 <= k <= p:
+        raise InputError(f"need 1 <= k <= {p} on a {p}-node graph, got k = {k}")
     iu = np.triu_indices(p, 1)
     upper = iu[0] * p + iu[1]  # the dyads as flat indices into a p x p matrix
     # dyad signs s = 2y - 1: the likelihood is log Phi(s eta) for either y

@@ -20,7 +20,7 @@ pack_fpca_params their inverses.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -40,7 +40,7 @@ from ..distributions import (
     se_kernel,
 )
 from ..expansion import UnconstrainedTarget, batched
-from ..matcore import IllConditionedError, match_columns, polar_decompose, thin_svd
+from ..matcore import IllConditionedError, InputError, match_columns, polar_decompose, thin_svd
 
 DEFAULT_RHO_MEAN = 365.0 / (4.0 * np.pi)
 DEFAULT_RHO_SD = 5.0
@@ -52,22 +52,24 @@ ETA_PHI_MAX = float(np.arctanh(np.nextafter(1.0, 0.0)))
 
 @dataclass(frozen=True)
 class FpcaData:
-    """Raw and doubly centered station-by-day matrices plus the day grid."""
+    """Station-by-day data y_raw, its day grid, and y: y_raw doubly centered, variation left."""
 
     y_raw: np.ndarray
-    y: np.ndarray
     grid: np.ndarray
+    y: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        n, p = y.shape
-        # float64 rounding alone leaves means of a few eps * max|y_raw|
-        tol = max(1e-8, 64 * np.finfo(float).eps * np.max(np.abs(self.y_raw)))
-        if np.max(np.abs(y.mean(axis=0))) > tol or np.max(np.abs(y.mean(axis=1))) > tol:
-            raise ValueError("y must be doubly centered (row and column means zero)")
+        y_raw = np.asarray(self.y_raw, dtype=float)
+        p = y_raw.shape[1]
         grid = np.asarray(self.grid, dtype=float)
         if grid.shape != (p,) or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be finite, strictly increasing and one point per column")
+            raise InputError("grid must be finite, strictly increasing and one point per column")
+        # exactly 0 for constant data, rows or columns, whose y can round to a few eps off 0
+        if not np.any((y_raw - y_raw[:, :1]) - (y_raw[:1] - y_raw[:1, :1])):
+            raise InputError("data have no variation left after double centering")
+        row = y_raw.mean(axis=1, keepdims=True)
+        col = y_raw.mean(axis=0, keepdims=True)
+        object.__setattr__(self, "y", y_raw - row - col + y_raw.mean())
 
     @property
     def n(self) -> int:
@@ -79,15 +81,10 @@ class FpcaData:
 
 
 def center_data(y_raw, grid=None) -> FpcaData:
-    """Subtract row and column means (double centering) from the raw matrix."""
-    y_raw = np.asarray(y_raw, dtype=float)
-    n, p = y_raw.shape
-    row = y_raw.mean(axis=1, keepdims=True)
-    col = y_raw.mean(axis=0, keepdims=True)
-    y = y_raw - row - col + y_raw.mean()
+    """FpcaData of the raw matrix, on the grid 1..p unless one is given."""
     if grid is None:
-        grid = np.arange(1.0, p + 1.0)
-    return FpcaData(y_raw=y_raw, y=y, grid=np.asarray(grid, dtype=float))
+        grid = np.arange(1.0, np.shape(y_raw)[1] + 1.0)
+    return FpcaData(y_raw=y_raw, grid=grid)
 
 
 @dataclass(frozen=True)
@@ -137,8 +134,8 @@ def fpca_empirical_bayes(y, k: int) -> FpcaHyper:
     """
     y = np.asarray(y, dtype=float)
     n, p = y.shape
-    if k >= min(n, p):
-        raise ValueError(f"need k < min(n, p) = {min(n, p)}, got {k}")
+    if not 1 <= k < min(n, p):
+        raise InputError(f"need 1 <= k < min(n, p) = {min(n, p)}, got k = {k}")
     _, d, _, sigma2_hat = _rank_k_fit(y, k)
     if sigma2_hat < 1e-8:
         warnings.warn(

@@ -12,6 +12,8 @@ import polarexp
 from polarexp import checks, cli
 from polarexp.cli import main
 from polarexp.expansion import UnconstrainedTarget
+from polarexp.hmc import ChainInitializationError
+from polarexp.matcore import DegenerateMatrixError, IllConditionedError, InputError
 from polarexp.models import simulate_eigenmodel, simulate_fpca
 
 
@@ -435,18 +437,24 @@ class TestInputErrors:
             ("fpca", [], None, "missing-file"),
             ("eigenmodel", ["--k", "1"], None, "one-node"),
             ("eigenmodel", ["--seed", "-1"], None, None),
+            ("eigenmodel", ["--k", "0"], None, None),
+            ("fpca", ["--k", "0"], None, None),
+            ("fpca", [], None, "constant"),
+            ("eigenmodel", [], None, "utf-16"),
+            ("fpca", [], b"seed = 7\nchains = \xff2\n", None),
         ],
         ids=["few-samples", "zero-samples", "zero-chains", "config-type", "k-above-p",
              "fpca-k-too-large", "nan-kept-day", "nan-dropped-day", "zero-thin",
              "negative-thin", "config-zero-thin", "nan-pc-multiple", "config-inf-pc-multiple",
              "config-key-of-other-command", "missing-data-file", "one-node-graph",
-             "negative-seed"],
+             "negative-seed", "k-zero", "fpca-k-zero", "constant-data", "utf-16-data",
+             "config-not-utf-8"],
     )
     def test_exit_1_before_sampling(
         self, tmp_path, monkeypatch, capsys, command, flags, config, fault
     ):
         # fault: None, a column index whose row-2 cell becomes NaN, a missing
-        # file, or a 1-node adjacency
+        # file, a 1-node adjacency, constant data or a UTF-16 file
         def no_sampling(*args, **kwargs):
             raise AssertionError("run_chains reached on bad input")
 
@@ -460,6 +468,10 @@ class TestInputErrors:
             data.unlink()
         elif fault == "one-node":
             data.write_text("0\n")
+        elif fault == "constant":
+            data.write_text("2.5,2.5,2.5,2.5\n" * 6)
+        elif fault == "utf-16":
+            data.write_bytes(data.read_text().encode("utf-16"))
         elif fault is not None:
             rows = [line.split(",") for line in data.read_text().splitlines()]
             rows[1][fault] = "nan"
@@ -468,7 +480,7 @@ class TestInputErrors:
         argv = [command, str(data), *flags, "--out", str(out)]
         if config is not None:
             cfg = tmp_path / "opts.cfg"
-            cfg.write_text(config)
+            cfg.write_bytes(config if isinstance(config, bytes) else config.encode())
             argv += ["--config", str(cfg)]
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -509,6 +521,22 @@ class TestInputErrors:
             ["fpca", "in.csv", "--config", str(cfg), "--out", "o"])) for cfg in (plain, bom)]
         assert resolved[0] == resolved[1]
         assert resolved[1]["seed"] == 7
+
+    @pytest.mark.parametrize(
+        "error, code, prefix",
+        [(InputError, 1, "error: "), (FileNotFoundError, 1, "error: "), (OSError, 1, "error: "),
+         (DegenerateMatrixError, 2, "numerical failure: "),
+         (IllConditionedError, 2, "numerical failure: "),
+         (ChainInitializationError, 2, "numerical failure: "),
+         (ValueError, 2, "numerical failure: ")],
+    )
+    def test_exit_code_follows_error_type(self, monkeypatch, capsys, error, code, prefix):
+        def failing(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "cmd_check", failing)
+        assert main(["check", "--out", "o"]) == code
+        assert capsys.readouterr().err == f"{prefix}boom\n"
 
     def test_thread_variable_ignored(self, tmp_path, monkeypatch):
         # chains run as one batch in one thread; the former thread cap is not read

@@ -6,7 +6,7 @@ from scipy.special import log_ndtr
 from scipy.stats import norm
 
 from polarexp.expansion import check_gradient
-from polarexp.matcore import polar_decompose
+from polarexp.matcore import InputError, polar_decompose
 from polarexp.models import (
     EigenmodelData,
     align_eigen_draws,
@@ -31,15 +31,15 @@ def make_data(seed=0, p=12, k=2):
 
 class TestData:
     def test_validation(self):
-        with pytest.raises(ValueError, match="square"):
+        with pytest.raises(InputError, match="square"):
             EigenmodelData(y=np.zeros((3, 4)))
         y = np.zeros((3, 3))
         y[0, 1] = 1.0
-        with pytest.raises(ValueError, match="symmetric"):
+        with pytest.raises(InputError, match="symmetric"):
             EigenmodelData(y=y)
         y = np.zeros((3, 3))
         y[0, 1] = y[1, 0] = 2.0
-        with pytest.raises(ValueError, match="0 or 1"):
+        with pytest.raises(InputError, match="0 or 1"):
             EigenmodelData(y=y)
 
     def test_first_bad_cell_matches_loop(self):
@@ -125,6 +125,12 @@ class TestTarget:
             expected_ll - c * c / 200.0 - 0.5 * np.sum(x * x) - np.sum(lam**2) / 6.0
         )
         assert target.log_density(theta) == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("k", [0, 13])
+    def test_k_outside_1_to_p_rejected_when_built(self, k):
+        data, _ = make_data(seed=2, p=12, k=2)
+        with pytest.raises(InputError, match="1 <= k <= 12"):
+            eigenmodel_target(data, k=k)
 
     def test_gradient_finite_difference(self):
         data, rng = make_data(seed=2, p=12, k=2)

@@ -27,7 +27,7 @@ from polarexp.distributions import (
     log_matrix_normal_grad,
     se_kernel,
 )
-from polarexp.matcore import IllConditionedError
+from polarexp.matcore import IllConditionedError, InputError
 from polarexp.models import fpca as fpca_module
 from polarexp.models.fpca import DEFAULT_RHO_MEAN
 
@@ -60,14 +60,21 @@ class TestCentering:
         again = center_data(y_raw - 1e9)
         np.testing.assert_allclose(data.y, again.y, atol=1e-5)
 
-    def test_uncentered_rejected(self):
-        with pytest.raises(ValueError, match="centered"):
-            FpcaData(y_raw=np.ones((3, 4)), y=np.ones((3, 4)), grid=np.arange(4.0))
-
     def test_grid_length_checked(self):
-        y = center_data(np.random.default_rng(2).standard_normal((4, 6))).y
-        with pytest.raises(ValueError, match="grid"):
-            FpcaData(y_raw=y, y=y, grid=np.arange(5.0))
+        y_raw = np.random.default_rng(2).standard_normal((4, 6))
+        with pytest.raises(InputError, match="grid"):
+            FpcaData(y_raw=y_raw, grid=np.arange(5.0))
+
+    @pytest.mark.parametrize(
+        "y_raw",
+        [np.full((3, 5), 0.1), np.repeat([[0.1], [0.7], [-2.3]], 5, axis=1),
+         np.repeat(np.random.default_rng(4).standard_normal((1, 8)) + 1e9, 5, axis=0)],
+        ids=["constant", "constant-rows", "constant-columns"],
+    )
+    def test_no_variation_rejected(self, y_raw):
+        # rounding leaves each of these a few eps off 0 after centering, not exactly 0
+        with pytest.raises(InputError, match="no variation"):
+            center_data(y_raw)
 
     @pytest.mark.parametrize(
         "grid",
@@ -135,8 +142,10 @@ class TestEmpiricalBayes:
         assert hyper.s2 > 0
 
     def test_k_bound(self):
-        with pytest.raises(ValueError):
-            fpca_empirical_bayes(np.zeros((4, 6)), 4)
+        y = center_data(np.random.default_rng(6).standard_normal((4, 6))).y
+        for k in (0, 4):
+            with pytest.raises(InputError, match="1 <= k < min"):
+                fpca_empirical_bayes(y, k)
 
 
 class TestPacking:

@@ -13,7 +13,7 @@ from polarexp.hmc import (
     leapfrog,
     run_chains,
 )
-from polarexp.matcore import DegenerateMatrixError, SvdConvergenceError
+from polarexp.matcore import DegenerateMatrixError, InputError, SvdConvergenceError
 from polarexp.models import (
     eigenmodel_initial_points,
     eigenmodel_target,
@@ -278,11 +278,11 @@ class TestRunChains:
             assert abs(counts[lo] - counts[hi]) / total <= 0.03
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             HmcConfig(warmup=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             HmcConfig(target_accept=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             HmcConfig(seed=-1)
 
     @pytest.mark.parametrize("warmup", [1, 5, 9, 200])
@@ -350,6 +350,7 @@ def most_steps(eps, transitions, seed):
     val, grad = tgt.value_and_grad(q)
     mass = np.ones_like(q)
     evals, before, done, most = (np.zeros(n_chains, dtype=int) for _ in range(4))
+    ceiling = hmc._path_ceiling(eps)
     h0 = np.empty(n_chains)
     batch = SimpleNamespace(rows=np.arange(n_chains), q=q.copy(), m=q.copy(), grad=q.copy(),
                             eps=np.empty((n_chains, 1)), mass=mass.copy(), left=done.copy())
@@ -363,10 +364,12 @@ def most_steps(eps, transitions, seed):
             q[c], val[c], grad[c] = b.q[j], val_end, b.grad[j]
         done[c] += 1
         if done[c] < transitions:
-            h0[c] = hmc._begin(b, j, rngs[c], q[c], val[c], grad[c], eps[c], mass[c])
+            h0[c] = hmc._begin(b, j, rngs[c], q[c], val[c], grad[c], eps[c], mass[c],
+                               ceiling[c])
 
     for c in range(n_chains):
-        h0[c] = hmc._begin(batch, c, rngs[c], q[c], val[c], grad[c], eps[c], mass[c])
+        h0[c] = hmc._begin(batch, c, rngs[c], q[c], val[c], grad[c], eps[c], mass[c],
+                           ceiling[c])
     hmc._integrate(tgt, batch, evals, on_end)
     assert np.all(done == transitions)
     return most
@@ -386,6 +389,22 @@ class TestPathLength:
             warnings.simplefilter("error")
             most = most_steps([0.0, 1e-300, np.inf], 50, seed=28)
         assert most[2] == 1
+
+    def test_ceiling_computed_only_where_the_step_size_changes(self, monkeypatch):
+        # once for all chains at the start, then once per chain per warmup
+        # update; sampling transitions run at the frozen step size
+        calls = []
+        ceiling = hmc._path_ceiling
+
+        def counted(eps):
+            calls.append(eps)
+            return ceiling(eps)
+
+        monkeypatch.setattr(hmc, "_path_ceiling", counted)
+        outs = run_chains(gaussian_target(3), HmcConfig(chains=3, warmup=40, samples=60, seed=29))
+        assert len(calls) <= 1 + 3 * 40
+        eps = np.array([o.step_size for o in outs])
+        assert [o.max_leapfrog for o in outs] == ceiling(eps).tolist()
 
 
 class TestMassWindows:
