@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import MIN_DRAWS, SummaryRow, summarize
-from .distributions import sample_macg, sample_uniform_stiefel
+from .distributions import sample_macg
 from .hmc import ChainInitializationError, HmcConfig, run_chains
 from .matcore import InputError, SpdMatrix, polar_decompose, thin_svd
 from .models import (
@@ -91,19 +91,15 @@ def _load_config_file(path):
 
 # Every option of `eigenmodel` and `fpca` as (type, default, help): the flags,
 # the config-file keys, their conversion and the defaults all come from here.
-_HMC_DEFAULT = HmcConfig()
+# The sampler's rows are HmcConfig's fields, typed by their defaults.
+_SAMPLER_OPTIONS = tuple(f.name for f in fields(HmcConfig))
 _OPTIONS = {
-    "seed": (int, _HMC_DEFAULT.seed, None),
-    "chains": (int, _HMC_DEFAULT.chains, None),
-    "warmup": (int, _HMC_DEFAULT.warmup, None),
-    "samples": (int, _HMC_DEFAULT.samples, None),
-    "target_accept": (float, _HMC_DEFAULT.target_accept, None),
+    **{f.name: (type(f.default), f.default, None) for f in fields(HmcConfig)},
     "k": (int, 3, None),
     "stride": (int, 1, "grid subsampling stride (must divide the column count)"),
     "thin": (int, 50, "thinning for posterior curve exports"),
     "pc_multiple": (float, None, "multiple of the PC curves in pc_effect.csv"),
 }
-_SAMPLER_OPTIONS = ("seed", "chains", "warmup", "samples", "target_accept")
 
 
 def _resolve_options(args):
@@ -145,11 +141,7 @@ def _write_meta(out_dir, merged, config, outputs, wall_time, **extra):
     meta = {
         "version": __version__,
         "config": merged,
-        "seed": config.seed,
-        "chains": config.chains,
-        "warmup": config.warmup,
-        "samples": config.samples,
-        "target_accept": config.target_accept,
+        **asdict(config),
         "divergences": [o.divergences for o in outputs],
         "accept_rates": [o.accept_rate for o in outputs],
         "step_sizes": [o.step_size for o in outputs],
@@ -229,30 +221,25 @@ def cmd_demo(args) -> int:
         raise InputError(f"need at least 1 draw, got {args.draws}")
     if args.seed < 0:
         raise InputError(f"--seed must be non-negative, got {args.seed}")
-    rng = np.random.default_rng(args.seed)
-    if args.kind == "macg":
+    if args.sigma_diag is None:
+        diag = np.ones(p)
+    elif args.kind != "macg":
+        raise InputError(f"--sigma-diag is accepted only with --kind macg, not {args.kind}")
+    else:
         try:
-            diag = (
-                np.ones(p)
-                if args.sigma_diag is None
-                else np.array([float(s) for s in args.sigma_diag.split(",")])
-            )
+            diag = np.array([float(s) for s in args.sigma_diag.split(",")])
         except ValueError:
-            raise InputError(
-                f"--sigma-diag has a non-numeric entry: {args.sigma_diag!r}"
-            ) from None
+            raise InputError(f"--sigma-diag has a non-numeric entry: {args.sigma_diag!r}") from None
         if diag.size != p:
             raise InputError(f"--sigma-diag needs {p} entries, got {diag.size}")
         if not np.all(np.isfinite(diag) & (diag > 0)):
             raise InputError(
                 f"--sigma-diag entries must be finite and positive, got {args.sigma_diag!r}"
             )
-        sigma = SpdMatrix(np.diag(diag))
-        draws = np.array([sample_macg(sigma, k, rng).ravel() for _ in range(args.draws)])
-    else:
-        draws = np.array(
-            [sample_uniform_stiefel(p, k, rng).ravel() for _ in range(args.draws)]
-        )
+    # the uniform law on the sphere and on V(k, p) is MACG(I)
+    sigma = SpdMatrix(np.diag(diag))
+    rng = np.random.default_rng(args.seed)
+    draws = np.array([sample_macg(sigma, k, rng).ravel() for _ in range(args.draws)])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     header = [f"q_{i}_{j}" for i in range(p) for j in range(k)]

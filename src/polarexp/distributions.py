@@ -15,6 +15,8 @@ from scipy.special import gammaln
 from .matcore import SpdMatrix, polar_decompose
 
 LOG_2PI = np.log(2.0 * np.pi)
+# the diagonal jitter that keeps the squared-exponential kernel K(rho) factorable
+SE_NUGGET = 1e-6
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,7 @@ class SeKernelParams:
 
     grid: np.ndarray
     rho: float
-    nugget: float = 1e-6
+    nugget: float = SE_NUGGET
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -97,20 +99,23 @@ def log_matrix_normal_grad(x, sigma: SpdMatrix | None):
     return -0.5 * p * k * LOG_2PI - 0.5 * k * logdet - 0.5 * quad, -solved
 
 
-def se_kernel(params: SeKernelParams) -> SpdMatrix:
-    """Squared-exponential Gram matrix K_ij = exp[-(t_i - t_j)^2 / (2 rho^2)] + nugget 1{i=j}.
+def se_gram(sqdist, rho, nugget=SE_NUGGET) -> np.ndarray:
+    """Squared-exponential Gram matrix exp[-sqdist / (2 rho^2)] plus nugget on the diagonal.
 
-    rho is the standard Gaussian-process length-scale: a zero-mean process
-    with this covariance has an expected zero-upcrossing rate of 1/(2 pi rho)
-    per unit time.
+    sqdist is the square matrix of squared distances (t_i - t_j)^2. rho is the
+    standard Gaussian-process length-scale: a zero-mean process with this
+    covariance has an expected zero-upcrossing rate of 1/(2 pi rho) per unit time.
     """
+    k = np.exp(-sqdist / (2.0 * rho**2))
+    k.flat[:: k.shape[0] + 1] += nugget
+    return k
+
+
+def se_kernel(params: SeKernelParams) -> SpdMatrix:
+    """K(rho) of se_gram on the grid, with its Cholesky factor."""
     t = params.grid
-    diff = t[:, None] - t[None, :]
-    k = np.exp(-(diff**2) / (2.0 * params.rho**2))
-    if params.nugget > 0:
-        k[np.diag_indices_from(k)] += params.nugget
     try:
-        return SpdMatrix(k)
+        return SpdMatrix(se_gram((t[:, None] - t[None, :]) ** 2, params.rho, params.nugget))
     except Exception as exc:
         raise type(exc)(
             f"{exc}; the squared-exponential kernel is near singular on this grid, "

@@ -35,11 +35,13 @@ MAX_ENERGY_ERROR = 1000.0
 
 @dataclass
 class HmcConfig:
+    """Sampler settings; each field is also a flag and a config key of `eigenmodel` and `fpca`."""
+
+    seed: int = 0
     chains: int = 4
     warmup: int = 1000
     samples: int = 5000
     target_accept: float = 0.8
-    seed: int = 0
 
     def __post_init__(self):
         if self.warmup <= 0 or self.samples <= 0 or self.chains <= 0:

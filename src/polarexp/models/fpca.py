@@ -37,6 +37,7 @@ from ..distributions import (
     sample_ar1,
     sample_macg,
     sample_uniform_stiefel,
+    se_gram,
     se_kernel,
 )
 from ..expansion import UnconstrainedTarget, batched
@@ -60,16 +61,19 @@ class FpcaData:
 
     def __post_init__(self):
         y_raw = np.asarray(self.y_raw, dtype=float)
+        if y_raw.ndim != 2 or y_raw.size == 0:
+            raise InputError(f"data must be a non-empty matrix, got shape {y_raw.shape}")
         p = y_raw.shape[1]
         grid = np.asarray(self.grid, dtype=float)
         if grid.shape != (p,) or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
             raise InputError("grid must be finite, strictly increasing and one point per column")
-        # exactly 0 for constant data, rows or columns, whose y can round to a few eps off 0
-        if not np.any((y_raw - y_raw[:, :1]) - (y_raw[:1] - y_raw[:1, :1])):
-            raise InputError("data have no variation left after double centering")
         row = y_raw.mean(axis=1, keepdims=True)
         col = y_raw.mean(axis=0, keepdims=True)
-        object.__setattr__(self, "y", y_raw - row - col + y_raw.mean())
+        y = y_raw - row - col + y_raw.mean()
+        # a row effect plus a column effect, constants included, centres to rounding noise
+        if np.max(np.abs(y)) <= 64.0 * np.finfo(float).eps * np.max(np.abs(y_raw)):
+            raise InputError("data have no variation left after double centering")
+        object.__setattr__(self, "y", y)
 
     @property
     def n(self) -> int:
@@ -91,8 +95,8 @@ def center_data(y_raw, grid=None) -> FpcaData:
 class FpcaHyper:
     """Hyperparameters; alpha/beta are the Gamma parameters for 1/rho.
 
-    These fields are the `hyper` entry of the CLI's run_meta.json. The kernel
-    nugget is not among them: K(rho) takes SeKernelParams' default.
+    These fields are the `hyper` entry of the CLI's run_meta.json. The kernel's
+    diagonal jitter is not among them: K(rho) is `distributions.se_gram` at its default.
     """
 
     k: int
@@ -199,9 +203,7 @@ def _kernel_terms(sqdist, eye, rho, x_v):
     lmn, d_rho_mn = np.empty((2, rho.size))
     g_lmn = np.empty_like(x_v)
     for i in range(rho.size):
-        # K(rho) in se_kernel's operation order and with its nugget, so equal to it bit for bit
-        kern = np.exp(-sqdist / (2.0 * rho[i] ** 2))
-        kern.flat[:: p + 1] += SeKernelParams.nugget
+        kern = se_gram(sqdist, rho[i])
         chol, info = dpotrf(kern, lower=1, clean=1)
         if info > 0:
             raise IllConditionedError(f"Cholesky of K(rho = {rho[i]:.6g}) failed at minor {info}")
@@ -209,7 +211,7 @@ def _kernel_terms(sqdist, eye, rho, x_v):
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
         lmn[i] = -0.5 * p * k * LOG_2PI - 0.5 * k * logdet - 0.5 * np.sum(x_v[i] * solved)
         g_lmn[i] = -solved
-        # dK/drho has entries K_ij * (t_i - t_j)^2 / rho^3 (nugget drops out)
+        # dK/drho has entries K_ij * (t_i - t_j)^2 / rho^3 (the diagonal jitter drops out)
         kprime = kern * (sqdist / rho[i] ** 3)
         # K^{-1} = K^{-1} eye; g_lmn = -K^{-1} x_v, so g_lmn g_lmn^T = K^{-1} x_v x_v^T K^{-1}
         d_rho_mn[i] = (-0.5 * k * np.sum(dpotrs(chol, eye, lower=1)[0] * kprime)

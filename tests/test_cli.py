@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import polarexp
 from polarexp import checks, cli
 from polarexp.cli import main
 from polarexp.expansion import UnconstrainedTarget
-from polarexp.hmc import ChainInitializationError
+from polarexp.hmc import ChainInitializationError, HmcConfig
 from polarexp.matcore import DegenerateMatrixError, IllConditionedError, InputError
 from polarexp.models import simulate_eigenmodel, simulate_fpca
 
@@ -107,9 +108,12 @@ class TestDemo:
             ["--kind", "sphere", "--p", "3", "--draws", "0"],
             ["--kind", "sphere", "--p", "3", "--draws", "-5"],
             ["--kind", "sphere", "--p", "3", "--seed", "-1"],
+            ["--kind", "sphere", "--p", "3", "--sigma-diag", "1,1,1"],
+            ["--kind", "stiefel", "--p", "3", "--k", "2", "--sigma-diag", "1,1,1"],
         ],
         ids=["k-above-p", "zero-p", "zero-k", "sigma-text", "sigma-negative", "sigma-nan",
-             "zero-draws", "negative-draws", "negative-seed"],
+             "zero-draws", "negative-draws", "negative-seed", "sigma-with-sphere",
+             "sigma-with-stiefel"],
     )
     def test_exit_1_before_drawing(self, tmp_path, capsys, flags):
         out = tmp_path / "x"
@@ -440,6 +444,8 @@ class TestInputErrors:
             ("eigenmodel", ["--k", "0"], None, None),
             ("fpca", ["--k", "0"], None, None),
             ("fpca", [], None, "constant"),
+            ("fpca", [], None, "additive"),
+            ("fpca", [], None, "no-columns"),
             ("eigenmodel", [], None, "utf-16"),
             ("fpca", [], b"seed = 7\nchains = \xff2\n", None),
         ],
@@ -447,14 +453,15 @@ class TestInputErrors:
              "fpca-k-too-large", "nan-kept-day", "nan-dropped-day", "zero-thin",
              "negative-thin", "config-zero-thin", "nan-pc-multiple", "config-inf-pc-multiple",
              "config-key-of-other-command", "missing-data-file", "one-node-graph",
-             "negative-seed", "k-zero", "fpca-k-zero", "constant-data", "utf-16-data",
-             "config-not-utf-8"],
+             "negative-seed", "k-zero", "fpca-k-zero", "constant-data", "additive-data",
+             "no-data-columns", "utf-16-data", "config-not-utf-8"],
     )
     def test_exit_1_before_sampling(
         self, tmp_path, monkeypatch, capsys, command, flags, config, fault
     ):
         # fault: None, a column index whose row-2 cell becomes NaN, a missing
-        # file, a 1-node adjacency, constant data or a UTF-16 file
+        # file, a 1-node adjacency, constant data, a row plus a column effect,
+        # station names and no values, or a UTF-16 file
         def no_sampling(*args, **kwargs):
             raise AssertionError("run_chains reached on bad input")
 
@@ -470,6 +477,12 @@ class TestInputErrors:
             data.write_text("0\n")
         elif fault == "constant":
             data.write_text("2.5,2.5,2.5,2.5\n" * 6)
+        elif fault == "additive":
+            rng = np.random.default_rng(7)
+            effects = rng.standard_normal((6, 1)) + rng.standard_normal((1, 24))
+            data.write_text("".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in effects))
+        elif fault == "no-columns":
+            data.write_text("station_a\nstation_b\nstation_c\n")
         elif fault == "utf-16":
             data.write_bytes(data.read_text().encode("utf-16"))
         elif fault is not None:
@@ -509,6 +522,14 @@ class TestInputErrors:
         from_flag = cli._resolve_options(parser.parse_args([*argv, flag, str(on_flag)]))[option]
         assert (from_file, from_flag) == (in_file, on_flag)
         assert type(from_file) is type(from_flag) is type(on_flag)
+
+    @pytest.mark.parametrize("command", ["eigenmodel", "fpca"])
+    def test_sampler_options_default_to_hmc_config(self, command):
+        resolved = cli._resolve_options(cli.build_parser().parse_args(
+            [command, "in.csv", "--out", "o"]))
+        for f in fields(HmcConfig):
+            assert resolved[f.name] == f.default
+            assert type(resolved[f.name]) is type(f.default)
 
     def test_config_byte_order_mark_ignored(self, tmp_path):
         # a BOM would otherwise become part of the first key

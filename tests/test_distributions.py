@@ -16,6 +16,7 @@ from polarexp.distributions import (
     sample_ar1,
     sample_macg,
     sample_uniform_stiefel,
+    se_gram,
     se_kernel,
 )
 from polarexp.matcore import SpdMatrix
@@ -239,6 +240,14 @@ class TestSeKernel:
         # a NaN point used to pass and fail later in se_kernel, which advised a larger nugget
         with pytest.raises(ValueError, match="strictly increasing"):
             SeKernelParams(grid=grid, rho=2.0)
+
+    @pytest.mark.parametrize("nugget", [{"nugget": 0.0}, {"nugget": 1e-9}, {}],
+                             ids=["zero", "1e-9", "default"])
+    def test_matrix_is_se_gram(self, nugget):
+        grid = np.linspace(1.0, 365.0, 73)
+        kern = se_kernel(SeKernelParams(grid=grid, rho=6.0, **nugget))
+        sqdist = (grid[:, None] - grid[None, :]) ** 2
+        np.testing.assert_array_equal(kern.mat, se_gram(sqdist, 6.0, **nugget))
 
     def test_singular_without_nugget_mentions_nugget(self):
         grid = np.linspace(0.0, 10.0, 60)

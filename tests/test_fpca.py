@@ -68,8 +68,10 @@ class TestCentering:
     @pytest.mark.parametrize(
         "y_raw",
         [np.full((3, 5), 0.1), np.repeat([[0.1], [0.7], [-2.3]], 5, axis=1),
-         np.repeat(np.random.default_rng(4).standard_normal((1, 8)) + 1e9, 5, axis=0)],
-        ids=["constant", "constant-rows", "constant-columns"],
+         np.repeat(np.random.default_rng(4).standard_normal((1, 8)) + 1e9, 5, axis=0),
+         np.random.default_rng(5).standard_normal((6, 1))
+         + np.random.default_rng(6).standard_normal((1, 24))],
+        ids=["constant", "constant-rows", "constant-columns", "additive"],
     )
     def test_no_variation_rejected(self, y_raw):
         # rounding leaves each of these a few eps off 0 after centering, not exactly 0
