@@ -34,6 +34,7 @@ from .models import (
     align_fpca_draws,
     center_data,
     eigenmodel_initial_points,
+    eigenmodel_point_estimate,
     eigenmodel_target,
     fpca_empirical_bayes,
     fpca_initial_points,
@@ -214,9 +215,9 @@ def _load_adjacency(path) -> EigenmodelData:
 
 
 def cmd_demo(args) -> int:
-    p, k = args.p, 1 if args.kind == "sphere" else args.k
-    if not 1 <= k <= p:
-        raise InputError(f"need 1 <= k <= p, got p = {p}, k = {k}")
+    p, k = args.p, args.k
+    if not 1 <= k <= p or (args.kind == "sphere" and k != 1):
+        raise InputError(f"need 1 <= k <= p, and k = 1 with --kind sphere; got p = {p}, k = {k}")
     if args.draws < 1:
         raise InputError(f"need at least 1 draw, got {args.draws}")
     if args.seed < 0:
@@ -281,8 +282,9 @@ def cmd_eigenmodel(args) -> int:
     qlq_mean = np.einsum("tij,tj,tlj->il", q_draws, lam_draws.reshape(-1, k), q_draws,
                          optimize=True) / (n_chains * n_iter)
 
-    # resolve the sign/permutation symmetry against a common reference
-    lam_aligned = align_eigen_draws(q_draws, lam_draws.reshape(-1, k))[1]
+    # resolve the sign/permutation symmetry against the point estimate of Q L Q^T
+    q_hat = eigenmodel_point_estimate(qlq_mean, k)[0]
+    lam_aligned = align_eigen_draws(q_draws, lam_draws.reshape(-1, k), q_hat)[1]
     lam_aligned = lam_aligned.reshape(n_chains, n_iter, k)
 
     lam_names = [f"lambda_{j + 1}" for j in range(k)]

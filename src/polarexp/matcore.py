@@ -170,30 +170,24 @@ def polar_decompose(x) -> PolarPair:
     return PolarPair(q=u @ v.swapaxes(-1, -2), u=u, d=d, v=v)
 
 
-def match_columns(mats, weights, reference=None):
+def match_columns(mats, reference):
     """Resolve the column sign/order symmetry of a stack mats (t x p x k) against a reference.
 
-    The reference defaults to mats[0], whose columns are visited in decreasing
-    |weights[0]| (weights is t x k, e.g. eigenvalues or singular values); a
-    given reference, such as an SVD estimate or a true Q, is already sorted
-    and is visited in column order. Each reference column takes, in every
-    matrix at once, the unmatched column with the largest |inner product| and
-    the sign of that inner product. Returns (aligned, perm, sign), perm and
-    sign t x k: column j of aligned[i] is sign[i, j] * mats[i][:, perm[i, j]].
+    The reference (p x k), such as a point estimate or a true Q, is visited in
+    column order. Each reference column takes, in every matrix at once, the
+    unmatched column with the largest |inner product| and the sign of that
+    inner product. Returns (aligned, perm, sign), perm and sign t x k: column
+    j of aligned[i] is sign[i, j] * mats[i][:, perm[i, j]].
     """
-    mats = np.asarray(mats, dtype=float)
+    mats, ref = np.asarray(mats, dtype=float), np.asarray(reference, dtype=float)
     t, _, k = mats.shape
-    if reference is None:
-        ref, order = mats[0], np.argsort(-np.abs(np.asarray(weights)[0]))
-    else:
-        ref, order = np.asarray(reference, dtype=float), range(k)
     dots = ref.T @ mats  # dots[i, j, m] = <ref[:, j], mats[i][:, m]>
     rows = np.arange(t)
     perm = np.empty((t, k), dtype=int)
     sign = np.empty((t, k))
     used = np.zeros((t, k), dtype=bool)
     aligned = np.empty_like(mats)
-    for j in order:
+    for j in range(k):
         col = np.where(used, 0.0, dots[:, j])
         m = np.argmax(np.abs(col), axis=1)
         perm[:, j] = m

@@ -130,6 +130,13 @@ def eigenmodel_target(data: EigenmodelData, k: int) -> UnconstrainedTarget:
     return UnconstrainedTarget(dim=_eigen_dim(p, k), value_and_grad=batched(value_and_grad))
 
 
+def eigenmodel_point_estimate(mat, k: int):
+    """(Q, lambda): the k eigenpairs of the symmetric mat largest in |lambda|, in that order."""
+    evals, evecs = np.linalg.eigh(mat)
+    top = np.argsort(-np.abs(evals))[:k]
+    return evecs[:, top], evals[top]
+
+
 def eigenmodel_initial_points(data: EigenmodelData, k: int, chains: int, seed: int):
     """Moment-matched starting points for the sampler, one per chain.
 
@@ -146,11 +153,7 @@ def eigenmodel_initial_points(data: EigenmodelData, k: int, chains: int, seed: i
     pdf = float(np.exp(_LOG_NORM_CONST - 0.5 * c0 * c0))
     m = (data.y - dens) / pdf
     np.fill_diagonal(m, 0.0)
-    evals, evecs = np.linalg.eigh(m)
-    top = np.argsort(-np.abs(evals))[:k]
-    q0 = evecs[:, top]
-    lam0 = evals[top]
-    base = pack_eigen_params(c0, q0, lam0)
+    base = pack_eigen_params(c0, *eigenmodel_point_estimate(m, k))
     inits = []
     for c in range(chains):
         rng = np.random.default_rng([seed, c, 7919])
@@ -170,11 +173,10 @@ def simulate_eigenmodel(p, c, q, lam, rng) -> EigenmodelData:
     return EigenmodelData(y=y)
 
 
-def align_eigen_draws(q_draws, lam_draws, reference=None):
+def align_eigen_draws(q_draws, lam_draws, reference):
     """(Q, lambda) draws with each Q's columns matched to the reference by `match_columns`.
 
-    lambda takes the new column order of Q, so Q L Q^T is unchanged.
+    lambda follows Q's columns, so Q L Q^T is unchanged. The CLI passes eigenmodel_point_estimate.
     """
-    lam_draws = np.asarray(lam_draws, dtype=float)
-    q_out, perm, _ = match_columns(q_draws, lam_draws, reference)
-    return q_out, np.take_along_axis(lam_draws, perm, axis=1)
+    q_out, perm, _ = match_columns(q_draws, reference)
+    return q_out, np.take_along_axis(np.asarray(lam_draws, dtype=float), perm, axis=1)

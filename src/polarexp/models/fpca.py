@@ -61,8 +61,8 @@ class FpcaData:
 
     def __post_init__(self):
         y_raw = np.asarray(self.y_raw, dtype=float)
-        if y_raw.ndim != 2 or y_raw.size == 0:
-            raise InputError(f"data must be a non-empty matrix, got shape {y_raw.shape}")
+        if y_raw.ndim != 2 or y_raw.size == 0 or not np.all(np.isfinite(y_raw)):
+            raise InputError("data must be a non-empty matrix of finite numbers")
         p = y_raw.shape[1]
         grid = np.asarray(self.grid, dtype=float)
         if grid.shape != (p,) or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
@@ -339,12 +339,12 @@ def fpca_point_estimate_v(mean_fit, k: int) -> np.ndarray:
     return v[:, :k]
 
 
-def align_fpca_draws(u_draws, d_draws, v_draws, reference=None):
+def align_fpca_draws(u_draws, d_draws, v_draws, reference):
     """(U, D, V) draws with each V's columns matched to the reference by `match_columns`.
 
-    U takes V's column order and signs and d its order, so U D V^T is unchanged.
+    U and d follow V's columns, so U D V^T is unchanged. The CLI passes fpca_point_estimate_v.
     """
     d_draws = np.asarray(d_draws, dtype=float)
-    v_out, perm, sign = match_columns(v_draws, d_draws, reference)
+    v_out, perm, sign = match_columns(v_draws, reference)
     u_out = np.take_along_axis(np.asarray(u_draws, dtype=float), perm[:, None, :], axis=2)
     return u_out * sign[:, None, :], np.take_along_axis(d_draws, perm, axis=1), v_out

@@ -110,10 +110,11 @@ class TestDemo:
             ["--kind", "sphere", "--p", "3", "--seed", "-1"],
             ["--kind", "sphere", "--p", "3", "--sigma-diag", "1,1,1"],
             ["--kind", "stiefel", "--p", "3", "--k", "2", "--sigma-diag", "1,1,1"],
+            ["--kind", "sphere", "--p", "3", "--k", "3"],
         ],
         ids=["k-above-p", "zero-p", "zero-k", "sigma-text", "sigma-negative", "sigma-nan",
              "zero-draws", "negative-draws", "negative-seed", "sigma-with-sphere",
-             "sigma-with-stiefel"],
+             "sigma-with-stiefel", "k-with-sphere"],
     )
     def test_exit_1_before_drawing(self, tmp_path, capsys, flags):
         out = tmp_path / "x"
@@ -152,6 +153,20 @@ class TestEigenmodelCommand:
         qlq = np.loadtxt(out1 / "qlq_mean.csv", delimiter=",", skiprows=1)
         assert qlq.shape == (8, 8)
         np.testing.assert_allclose(qlq, qlq.T, atol=1e-12)
+
+    def test_lambda_columns_follow_posterior_mean(self, tmp_path):
+        # draws are aligned to the eigenvectors of the posterior mean of Q L Q^T,
+        # taken in decreasing |lambda|, so lambda_1 is the larger-magnitude pair
+        rng = np.random.default_rng(12)
+        p = 20
+        data = simulate_eigenmodel(p, -0.3, random_stiefel(rng, p, 2), [10.0, -8.0], rng)
+        adj = tmp_path / "adj.csv"
+        np.savetxt(adj, data.y, fmt="%d", delimiter=",")
+        out = tmp_path / "o"
+        assert main(["eigenmodel", str(adj), "--k", "2", "--chains", "2", "--warmup", "150",
+                     "--samples", "200", "--seed", "2", "--out", str(out)]) == 0
+        trace = np.genfromtxt(out / "lambda_trace.csv", delimiter=",", names=True)
+        assert np.mean(np.abs(trace["lambda_1"])) > np.mean(np.abs(trace["lambda_2"]))
 
     def test_svd_failure_mid_run_is_retried(self, tmp_path, monkeypatch):
         # one LAPACK failure in a batched gradient call: the rows are evaluated

@@ -11,6 +11,7 @@ from polarexp.models import (
     EigenmodelData,
     align_eigen_draws,
     eigenmodel_initial_points,
+    eigenmodel_point_estimate,
     eigenmodel_target,
     pack_eigen_params,
     simulate_eigenmodel,
@@ -279,6 +280,18 @@ class TestSimulator:
         assert np.max(np.abs(freq - prob[iu])) <= 0.04
 
 
+class TestPointEstimate:
+    def test_top_eigenpairs_by_magnitude(self):
+        q = random_stiefel(np.random.default_rng(17), 4, 4)
+        mat = (q * np.array([2.0, -7.0, 0.5, 5.0])) @ q.T
+        q_hat, lam = eigenmodel_point_estimate(mat, 2)
+        np.testing.assert_allclose(lam, [-7.0, 5.0], atol=1e-12)
+        assert q_hat.shape == (4, 2)
+        for j, col in enumerate((1, 3)):
+            sign = np.sign(q_hat[:, j] @ q[:, col])
+            np.testing.assert_allclose(q_hat[:, j], sign * q[:, col], atol=1e-12)
+
+
 class TestAlignment:
     def test_recovers_permuted_signed_draws(self):
         rng = np.random.default_rng(8)
@@ -304,7 +317,7 @@ class TestAlignment:
         p, k, t = 6, 2, 10
         q_draws = np.array([random_stiefel(rng, p, k) for _ in range(t)])
         lam_draws = rng.standard_normal((t, k)) * 3.0
-        q_out, lam_out = align_eigen_draws(q_draws, lam_draws)
+        q_out, lam_out = align_eigen_draws(q_draws, lam_draws, reference=q_draws[0])
         for i in range(t):
             before = (q_draws[i] * lam_draws[i]) @ q_draws[i].T
             after = (q_out[i] * lam_out[i]) @ q_out[i].T

@@ -60,6 +60,13 @@ class TestCentering:
         again = center_data(y_raw - 1e9)
         np.testing.assert_allclose(data.y, again.y, atol=1e-5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_rejected(self, bad):
+        y_raw = np.random.default_rng(7).standard_normal((6, 20))
+        y_raw[2, 11] = bad
+        with pytest.raises(InputError, match="finite numbers"):
+            center_data(y_raw)
+
     def test_grid_length_checked(self):
         y_raw = np.random.default_rng(2).standard_normal((4, 6))
         with pytest.raises(InputError, match="grid"):
@@ -423,7 +430,7 @@ class TestPointEstimateAndAlignment:
         u_draws = np.array([random_stiefel(rng, n, k) for _ in range(t)])
         v_draws = np.array([random_stiefel(rng, p, k) for _ in range(t)])
         d_draws = 1.0 + rng.random((t, k)) * 4.0
-        u_out, d_out, v_out = align_fpca_draws(u_draws, d_draws, v_draws)
+        u_out, d_out, v_out = align_fpca_draws(u_draws, d_draws, v_draws, reference=v_draws[0])
         for i in range(t):
             before = (u_draws[i] * d_draws[i]) @ v_draws[i].T
             after = (u_out[i] * d_out[i]) @ v_out[i].T
