@@ -13,8 +13,6 @@ from .matcore import (
     IllConditionedError,
     PolarPair,
     SpdMatrix,
-    log_multigamma,
-    log_polar_jacobian,
     polar_decompose,
     thin_svd,
 )
@@ -35,8 +33,6 @@ __all__ = [
     "IllConditionedError",
     "PolarPair",
     "SpdMatrix",
-    "log_multigamma",
-    "log_polar_jacobian",
     "polar_decompose",
     "thin_svd",
     "__version__",

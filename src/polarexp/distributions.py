@@ -61,20 +61,6 @@ def sample_uniform_stiefel(p: int, k: int, rng: np.random.Generator) -> np.ndarr
     return polar_decompose(x).q
 
 
-def log_macg_density(q, sigma: SpdMatrix) -> float:
-    """Log density of q under the matrix angular central Gaussian MACG(sigma).
-
-    Taken w.r.t. the uniform probability measure:
-    -(k/2) log|sigma| - (p/2) log|q^T sigma^{-1} q|; zero when sigma = I.
-    """
-    q = np.asarray(q, dtype=float)
-    p, k = q.shape
-    if sigma.dim != p:
-        raise ValueError("dimension mismatch between q and sigma")
-    inner = SpdMatrix(q.T @ sigma.solve(q))
-    return -0.5 * k * sigma.logdet() - 0.5 * p * inner.logdet()
-
-
 def sample_macg(sigma: SpdMatrix, k: int, rng: np.random.Generator) -> np.ndarray:
     """Exact MACG(sigma) draw: polar factor of L Z with L = chol(sigma)."""
     z = rng.standard_normal((sigma.dim, k))
@@ -136,7 +122,7 @@ def ar1_loglik_grad(r, phi, sig2):
     phi = np.asarray(phi, dtype=float)
     sig2 = np.asarray(sig2, dtype=float)
     n, p = r.shape[-2:]
-    s1 = np.sum(r[..., 0] ** 2, axis=-1)
+    s1 = np.einsum("...i,...i->...", r[..., 0], r[..., 0])
     ll = -0.5 * n * (LOG_2PI + np.log(sig2)) - s1 / (2.0 * sig2)
     g = np.zeros_like(r)
     g[..., 0] = -r[..., 0] / sig2[..., None]
@@ -147,11 +133,15 @@ def ar1_loglik_grad(r, phi, sig2):
         v = sig2 * omphi2
         phi_m, v_m = phi[..., None, None], v[..., None, None]
         e = r[..., 1:] - phi_m * r[..., :-1]
-        se = np.sum(e * e, axis=(-2, -1))
-        sc = np.sum(e * r[..., :-1], axis=(-2, -1))
+        # one BLAS dot per matrix: einsum over a contiguous stack sums it in another
+        # order than a lone matrix once n (p - 1) passes its 8192-element buffer
+        flat = e.reshape(*e.shape[:-2], 1, -1)
+        se = (flat @ flat.swapaxes(-1, -2))[..., 0, 0]
+        sc = np.einsum("...ij,...ij->...", e, r[..., :-1])
         ll = ll - 0.5 * n * (p - 1) * (LOG_2PI + np.log(v)) - se / (2.0 * v)
-        g[..., :-1] += phi_m * e / v_m
-        g[..., 1:] -= e / v_m
+        e /= v_m
+        g[..., :-1] += phi_m * e
+        g[..., 1:] -= e
         d_sig2 = d_sig2 - n * (p - 1) / (2.0 * sig2) + se / (2.0 * sig2 * sig2 * omphi2)
         d_phi = n * (p - 1) * phi / omphi2 + sc / v - phi * sig2 * se / (v * v)
     return ll, g, d_sig2, d_phi

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.special import gammaln
 
 # Orthonormality tolerance for Stiefel-point validation.
 ORTH_TOL = 1e-10
@@ -195,26 +194,3 @@ def match_columns(mats, reference):
         used[rows, m] = True
         aligned[:, :, j] = mats[rows, :, m] * sign[:, j, None]
     return aligned, perm, sign
-
-
-def log_multigamma(k: int, a: float) -> float:
-    """Log of the multivariate gamma function Gamma_k(a)."""
-    if a <= (k - 1) / 2:
-        raise ValueError(f"log_multigamma requires a > (k-1)/2, got a={a}, k={k}")
-    j = np.arange(1, k + 1)
-    return float(k * (k - 1) / 4 * np.log(np.pi) + np.sum(gammaln(a + (1 - j) / 2)))
-
-
-def log_polar_jacobian(s: SpdMatrix, p: int) -> float:
-    """Log Jacobian of the map X -> (Q_X, S_X) for a p x k matrix.
-
-    log J = log Gamma_k(p/2) - (pk/2) log pi - ((p-k-1)/2) log|S|.
-    """
-    k = s.dim
-    if p < k:
-        raise ValueError(f"need p >= k, got p={p}, k={k}")
-    return (
-        log_multigamma(k, p / 2)
-        - (p * k / 2) * np.log(np.pi)
-        - ((p - k - 1) / 2) * s.logdet()
-    )

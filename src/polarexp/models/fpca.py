@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from ..distributions import (
     LOG_2PI,
@@ -197,8 +197,15 @@ def fpca_scalars(eta_d, eta_sigma, eta_phi, eta_rho):
     return np.exp(eta_d), np.exp(eta_sigma), np.tanh(eta_phi), np.exp(eta_rho)
 
 
-def _kernel_terms(sqdist, eye, rho, x_v):
-    """log N(x_v | 0, K(rho), I), its x_v-gradient and its rho-derivative, per state."""
+def _kernel_terms(sqdist, rho, x_v):
+    """log N(x_v | 0, K(rho), I), its x_v-gradient and its rho-derivative, per state.
+
+    Per state: one Cholesky factorisation of K(rho), one k-column solve for
+    G = K^{-1} x_v and one dpotri for the lower triangle of K^{-1}. With
+    K' = dK/drho = K o sqdist / rho^3, the rho-derivative is
+    -(k/2) tr(K^{-1} K') + (1/2) <G, K' G> (Rasmussen & Williams 2006, 5.4.1);
+    K' is symmetric with a zero diagonal, so tr(K^{-1} K') = 2 <tril(K^{-1}), K'>.
+    """
     p, k = x_v.shape[-2:]
     lmn, d_rho_mn = np.empty((2, rho.size))
     g_lmn = np.empty_like(x_v)
@@ -211,11 +218,13 @@ def _kernel_terms(sqdist, eye, rho, x_v):
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
         lmn[i] = -0.5 * p * k * LOG_2PI - 0.5 * k * logdet - 0.5 * np.sum(x_v[i] * solved)
         g_lmn[i] = -solved
-        # dK/drho has entries K_ij * (t_i - t_j)^2 / rho^3 (the diagonal jitter drops out)
-        kprime = kern * (sqdist / rho[i] ** 3)
-        # K^{-1} = K^{-1} eye; g_lmn = -K^{-1} x_v, so g_lmn g_lmn^T = K^{-1} x_v x_v^T K^{-1}
-        d_rho_mn[i] = (-0.5 * k * np.sum(dpotrs(chol, eye, lower=1)[0] * kprime)
-                       + 0.5 * np.sum((g_lmn[i] @ g_lmn[i].T) * kprime))
+        # rho^3 K'; the nugget sits on the diagonal, where sqdist is 0
+        kern *= sqdist
+        # clean=1 left the factor's upper triangle zero, and dpotri leaves it so;
+        # the Fortran-ordered result's transpose is C-ordered, as vdot wants
+        inv_lower = dpotri(chol, lower=1, overwrite_c=1)[0]
+        d_rho_mn[i] = (-k * np.vdot(inv_lower.T, kern)
+                       + 0.5 * np.vdot(solved, kern @ solved)) / rho[i] ** 3
     return lmn, g_lmn, d_rho_mn
 
 
@@ -226,18 +235,19 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
     Cholesky failure at extreme rho surfaces as an ill-conditioning error,
     which the HMC engine treats as a divergence. A batch of states is
     evaluated in one pass, except for the kernel: per state, one Cholesky
-    factorisation of K(rho) and two solves with it, for K^{-1} X_V and K^{-1}.
+    factorisation of K(rho), one solve with it for K^{-1} X_V and one dpotri
+    for the lower triangle of K^{-1} (see _kernel_terms).
     """
     y = data.y
     grid = np.asarray(data.grid, dtype=float)
     n, p = y.shape
     k = hyper.k
     sqdist = (grid[:, None] - grid[None, :]) ** 2
-    eye = np.eye(p)
 
     def value_and_grad(theta):
         val = np.full(theta.shape[0], -np.inf)
-        grad = np.zeros_like(theta)
+        # C order, so that the blocks unpacked from it below are views
+        grad = np.zeros(theta.shape)
         eta_d, eta_sigma, eta_phi, eta_rho = unpack_fpca_params(theta, n, p, k)[2:]
         # far outside any plausible scale the exp/tanh transforms overflow or
         # underflow, or tanh rounds to 1; report -inf so the sampler treats
@@ -250,7 +260,12 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
         )
         if not np.any(ok):
             return val, grad
-        x_u, x_v, eta_d, eta_sigma, eta_phi, eta_rho = unpack_fpca_params(theta[ok], n, p, k)
+        every = bool(np.all(ok))
+        # with every row in support the blocks are read from theta and written
+        # into grad itself, with no copy of either
+        rows = theta if every else theta[ok]
+        out = grad if every else np.zeros(rows.shape)
+        x_u, x_v, eta_d, eta_sigma, eta_phi, eta_rho = unpack_fpca_params(rows, n, p, k)
         d_vec, sig2, phi, rho = fpca_scalars(eta_d, eta_sigma, eta_phi, eta_rho)
         omphi2 = 1.0 - phi * phi
 
@@ -262,7 +277,7 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
 
         ll, g_r, d_sig2, d_phi = ar1_loglik_grad(r, phi, sig2)
 
-        lmn_v, g_lmn_v, d_rho_mn = _kernel_terms(sqdist, eye, rho, x_v)
+        lmn_v, g_lmn_v, d_rho_mn = _kernel_terms(sqdist, rho, x_v)
         lmn_u, g_lmn_u = log_matrix_normal_grad(x_u, None)
 
         lp_d, dlp_d = log_halfnormal_grad(d_vec, hyper.tau2)
@@ -280,14 +295,15 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
         g_v = g_m.swapaxes(1, 2) @ ud
         g_d_ll = np.sum(u * g_mv, axis=1)
         # chain rule through each transform, plus its log-Jacobian's derivative
-        grad[ok] = _join_fpca(
-            polar_u.vjp(g_u) + g_lmn_u,
-            polar_v.vjp(g_v) + g_lmn_v,
-            (g_d_ll + dlp_d) * d_vec + 1.0,
-            (d_sig2 + dlp_sig) * sig2 + 1.0,
-            (d_phi + dlp_phi) * omphi2 - 2.0 * phi,
-            (d_rho_mn + dlp_rho) * rho + 1.0,
-        )
+        gx_u, gx_v, g_d, g_sig, g_phi, g_rho = unpack_fpca_params(out, n, p, k)
+        np.add(polar_u.vjp(g_u), g_lmn_u, out=gx_u)
+        np.add(polar_v.vjp(g_v), g_lmn_v, out=gx_v)
+        g_d[...] = (g_d_ll + dlp_d) * d_vec + 1.0
+        g_sig[...] = (d_sig2 + dlp_sig) * sig2 + 1.0
+        g_phi[...] = (d_phi + dlp_phi) * omphi2 - 2.0 * phi
+        g_rho[...] = (d_rho_mn + dlp_rho) * rho + 1.0
+        if not every:
+            grad[ok] = out
         return val, grad
 
     return UnconstrainedTarget(dim=_fpca_dim(n, p, k), value_and_grad=batched(value_and_grad))

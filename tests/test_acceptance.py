@@ -19,7 +19,6 @@ from polarexp.diagnostics import ess, split_rhat
 from polarexp.distributions import (
     Ar1Params,
     SeKernelParams,
-    log_macg_density,
     sample_ar1,
     sample_macg,
     sample_uniform_stiefel,
@@ -47,6 +46,8 @@ from polarexp.models import (
     unpack_eigen_params,
     unpack_fpca_params,
 )
+
+from stiefel_densities import log_macg_density
 
 
 def report(capsys, n, label, ok, detail):

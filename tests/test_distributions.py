@@ -11,7 +11,6 @@ from polarexp.distributions import (
     log_arcsine_grad,
     log_halfnormal_grad,
     log_invgamma_grad,
-    log_macg_density,
     log_matrix_normal_grad,
     sample_ar1,
     sample_macg,
@@ -20,6 +19,8 @@ from polarexp.distributions import (
     se_kernel,
 )
 from polarexp.matcore import SpdMatrix
+
+from stiefel_densities import log_macg_density
 
 
 class TestUniformStiefel:
@@ -293,6 +294,18 @@ class TestAr1:
         for i in range(3):
             for got, want in zip(stacked, ar1_loglik_grad(r[i], phi[i], sig2[i])):
                 np.testing.assert_allclose(got[i], want, rtol=1e-13)
+
+    def test_stack_rows_equal_lone_matrices_bit_for_bit(self):
+        # a batched FPCA evaluation must equal each state's own; at 35 x 365 a matrix
+        # has more innovations than numpy's 8192-element reduction buffer
+        rng = np.random.default_rng(15)
+        r = rng.standard_normal((3, 35, 365))
+        phi, sig2 = np.array([0.2, -0.5, 0.9]), np.array([0.7, 1.0, 2.5])
+        stacked = ar1_loglik_grad(r, phi, sig2)
+        for i in range(3):
+            lone = ar1_loglik_grad(r[i : i + 1], phi[i : i + 1], sig2[i : i + 1])
+            for got, want in zip(stacked, lone):
+                np.testing.assert_array_equal(got[i], want[0])
 
     def test_phi_zero_is_iid(self):
         rng = np.random.default_rng(12)

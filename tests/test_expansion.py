@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, norm
 
-from polarexp.distributions import log_macg_density
 from polarexp.expansion import (
     StiefelTarget,
     UnconstrainedTarget,
@@ -11,6 +10,8 @@ from polarexp.expansion import (
     polar_vjp,
 )
 from polarexp.matcore import DegenerateMatrixError, SpdMatrix
+
+from stiefel_densities import log_macg_density
 
 
 def uniform_target(p, k):

@@ -291,11 +291,13 @@ class TestTarget:
 
 
 class TestKernelTerms:
+    RHOS = (8.0, 12.0, 29.0, 60.0)
+
     @staticmethod
     def reference_terms(grid, calls):
         """The kernel terms from se_kernel, log_matrix_normal_grad and an explicit K^{-1}."""
 
-        def terms(sqdist, eye, rho, x_v):
+        def terms(sqdist, rho, x_v):
             calls.append(rho.size)
             k = x_v.shape[-1]
             lmn, d_rho = np.empty(rho.size), np.empty(rho.size)
@@ -314,6 +316,8 @@ class TestKernelTerms:
 
     @pytest.mark.parametrize("rhos", [(29.0, 11.0), (41.0,)], ids=["two-states", "one-state"])
     def test_target_equals_reference_bit_for_bit(self, monkeypatch, rhos):
+        # the rho-derivative takes tr(K^{-1} K') from dpotri's triangle, not from
+        # the full K^{-1}, so log rho's coordinate agrees to rounding only
         data, hyper, rng = TestTarget.make_73_day_grid()
         target = fpca_target(data, hyper)
         theta = np.array(fpca_initial_points(data, hyper, len(rhos), 4))
@@ -325,7 +329,41 @@ class TestKernelTerms:
         ref_val, ref_grad = target.value_and_grad(theta)
         assert calls == [len(rhos)]
         np.testing.assert_array_equal(val, ref_val)
-        np.testing.assert_array_equal(grad, ref_grad)
+        np.testing.assert_array_equal(grad[..., :-1], ref_grad[..., :-1])
+        np.testing.assert_allclose(grad[..., -1], ref_grad[..., -1], rtol=1e-9, atol=0)
+
+    def test_365_day_grid_matches_reference(self):
+        grid = np.arange(1.0, 366.0)
+        sqdist = (grid[:, None] - grid[None, :]) ** 2
+        rho = np.array(self.RHOS)
+        x_v = np.random.default_rng(23).standard_normal((rho.size, grid.size, 3))
+        lmn, g_lmn, d_rho = fpca_module._kernel_terms(sqdist, rho, x_v)
+        ref_lmn, ref_g, ref_d_rho = self.reference_terms(grid, [])(sqdist, rho, x_v)
+        np.testing.assert_array_equal(lmn, ref_lmn)
+        np.testing.assert_array_equal(g_lmn, ref_g)
+        np.testing.assert_allclose(d_rho, ref_d_rho, rtol=1e-8, atol=0)
+
+    def test_no_explicit_inverse(self, monkeypatch):
+        # per state one dpotri for K^{-1}'s triangle, and solves with k columns only
+        data, hyper, _ = TestTarget.make_73_day_grid()
+        target = fpca_target(data, hyper)
+        theta = np.array(fpca_initial_points(data, hyper, 2, 4))
+        shapes = {"dpotrs": [], "dpotri": []}
+
+        def recording(name):
+            real = getattr(fpca_module, name)
+
+            def call(a, *args, **kwargs):
+                shapes[name].append(tuple(np.shape(args[0] if name == "dpotrs" else a)))
+                return real(a, *args, **kwargs)
+
+            return call
+
+        for name in shapes:
+            monkeypatch.setattr(fpca_module, name, recording(name))
+        target.value_and_grad(theta)
+        assert shapes["dpotri"] == [(data.p, data.p)] * 2
+        assert shapes["dpotrs"] == [(data.p, hyper.k)] * 2
 
     def test_cholesky_failure_is_a_divergence(self, monkeypatch):
         # row 1's K(rho) fails to factor; the batched call raises, and leapfrog

@@ -9,12 +9,12 @@ from polarexp.matcore import (
     IllConditionedError,
     SpdMatrix,
     SvdConvergenceError,
-    log_multigamma,
-    log_polar_jacobian,
     match_columns,
     polar_decompose,
     thin_svd,
 )
+
+from stiefel_densities import log_multigamma, log_polar_jacobian
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
