@@ -122,7 +122,7 @@ def ar1_loglik_grad(r, phi, sig2):
     phi = np.asarray(phi, dtype=float)
     sig2 = np.asarray(sig2, dtype=float)
     n, p = r.shape[-2:]
-    s1 = np.einsum("...i,...i->...", r[..., 0], r[..., 0])
+    s1 = np.sum(r[..., 0] ** 2, axis=-1)
     ll = -0.5 * n * (LOG_2PI + np.log(sig2)) - s1 / (2.0 * sig2)
     g = np.zeros_like(r)
     g[..., 0] = -r[..., 0] / sig2[..., None]
@@ -133,11 +133,8 @@ def ar1_loglik_grad(r, phi, sig2):
         v = sig2 * omphi2
         phi_m, v_m = phi[..., None, None], v[..., None, None]
         e = r[..., 1:] - phi_m * r[..., :-1]
-        # one BLAS dot per matrix: einsum over a contiguous stack sums it in another
-        # order than a lone matrix once n (p - 1) passes its 8192-element buffer
-        flat = e.reshape(*e.shape[:-2], 1, -1)
-        se = (flat @ flat.swapaxes(-1, -2))[..., 0, 0]
-        sc = np.einsum("...ij,...ij->...", e, r[..., :-1])
+        se = np.sum(e * e, axis=(-2, -1))
+        sc = np.sum(e * r[..., :-1], axis=(-2, -1))
         ll = ll - 0.5 * n * (p - 1) * (LOG_2PI + np.log(v)) - se / (2.0 * v)
         e /= v_m
         g[..., :-1] += phi_m * e

@@ -246,8 +246,7 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
 
     def value_and_grad(theta):
         val = np.full(theta.shape[0], -np.inf)
-        # C order, so that the blocks unpacked from it below are views
-        grad = np.zeros(theta.shape)
+        grad = np.zeros_like(theta)
         eta_d, eta_sigma, eta_phi, eta_rho = unpack_fpca_params(theta, n, p, k)[2:]
         # far outside any plausible scale the exp/tanh transforms overflow or
         # underflow, or tanh rounds to 1; report -inf so the sampler treats
@@ -260,11 +259,7 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
         )
         if not np.any(ok):
             return val, grad
-        every = bool(np.all(ok))
-        # with every row in support the blocks are read from theta and written
-        # into grad itself, with no copy of either
-        rows = theta if every else theta[ok]
-        out = grad if every else np.zeros(rows.shape)
+        rows = theta[ok]
         x_u, x_v, eta_d, eta_sigma, eta_phi, eta_rho = unpack_fpca_params(rows, n, p, k)
         d_vec, sig2, phi, rho = fpca_scalars(eta_d, eta_sigma, eta_phi, eta_rho)
         omphi2 = 1.0 - phi * phi
@@ -294,7 +289,9 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
         g_u = g_mv * d_vec[:, None, :]
         g_v = g_m.swapaxes(1, 2) @ ud
         g_d_ll = np.sum(u * g_mv, axis=1)
-        # chain rule through each transform, plus its log-Jacobian's derivative
+        # chain rule through each transform, plus its log-Jacobian's derivative,
+        # written into the blocks of a C-ordered array, which unpack as views
+        out = np.zeros(rows.shape)
         gx_u, gx_v, g_d, g_sig, g_phi, g_rho = unpack_fpca_params(out, n, p, k)
         np.add(polar_u.vjp(g_u), g_lmn_u, out=gx_u)
         np.add(polar_v.vjp(g_v), g_lmn_v, out=gx_v)
@@ -302,8 +299,7 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
         g_sig[...] = (d_sig2 + dlp_sig) * sig2 + 1.0
         g_phi[...] = (d_phi + dlp_phi) * omphi2 - 2.0 * phi
         g_rho[...] = (d_rho_mn + dlp_rho) * rho + 1.0
-        if not every:
-            grad[ok] = out
+        grad[ok] = out
         return val, grad
 
     return UnconstrainedTarget(dim=_fpca_dim(n, p, k), value_and_grad=batched(value_and_grad))

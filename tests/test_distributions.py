@@ -296,8 +296,8 @@ class TestAr1:
                 np.testing.assert_allclose(got[i], want, rtol=1e-13)
 
     def test_stack_rows_equal_lone_matrices_bit_for_bit(self):
-        # a batched FPCA evaluation must equal each state's own; at 35 x 365 a matrix
-        # has more innovations than numpy's 8192-element reduction buffer
+        # a batched FPCA evaluation must equal each state's own, also at the
+        # paper's 35 x 365 size
         rng = np.random.default_rng(15)
         r = rng.standard_normal((3, 35, 365))
         phi, sig2 = np.array([0.2, -0.5, 0.9]), np.array([0.7, 1.0, 2.5])

@@ -420,6 +420,8 @@ class TestBatch:
         for i in (0, 2):
             assert np.isfinite(val[i])
             assert val[i] == target.log_density(theta[i])
+            # a row in support keeps its own gradient beside one out of support
+            np.testing.assert_array_equal(grad[i], target.value_and_grad(theta[i])[1])
 
 
 class TestSimulator:
