@@ -284,7 +284,7 @@ def cmd_eigenmodel(args) -> int:
 
     # resolve the sign/permutation symmetry against the point estimate of Q L Q^T
     q_hat = eigenmodel_point_estimate(qlq_mean, k)[0]
-    lam_aligned = align_eigen_draws(q_draws, lam_draws.reshape(-1, k), q_hat)[1]
+    lam_aligned = align_eigen_draws(q_draws, lam_draws.reshape(-1, k), q_hat)
     lam_aligned = lam_aligned.reshape(n_chains, n_iter, k)
 
     lam_names = [f"lambda_{j + 1}" for j in range(k)]
@@ -340,7 +340,7 @@ def cmd_fpca(args) -> int:
     _, _, v_classical = thin_svd(data.y)
     v_classical = v_classical[:, :k]
 
-    _, d_al, v_al = align_fpca_draws(u[kept], d[kept], v[kept], reference=v_hat)
+    d_al, v_al = align_fpca_draws(d[kept], v[kept], reference=v_hat)
     # the default PC multiples use the aligned, thinned d draws; summary.csv
     # reports the unaligned per-iteration draws
     d_mean = d_al.mean(axis=0)

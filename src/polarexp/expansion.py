@@ -46,7 +46,8 @@ class UnconstrainedTarget:
 
     value_and_grad maps a batch of states (chains, dim) to (chains,) values
     and (chains, dim) gradients, one row per state, and a single state (dim,)
-    to (float, (dim,)). A state outside the density's support gets -inf.
+    to (float, (dim,)). A state outside the density's support gets -inf and a
+    zero gradient; `batched` owns that contract and the single-state form.
     """
 
     dim: int
@@ -56,19 +57,26 @@ class UnconstrainedTarget:
         return self.value_and_grad(x)[0]
 
 
-def batched(fn):
-    """A value_and_grad for UnconstrainedTarget from fn, which takes only batches.
+def batched(fn, in_support=None):
+    """A value_and_grad for UnconstrainedTarget from fn, which sees only rows in support.
 
-    fn maps (chains, dim) to ((chains,), (chains, dim)); the result also takes
-    one (dim,) state, as a batch of one.
+    fn maps (rows, dim) to ((rows,), (rows, dim)). in_support(batch) marks the
+    rows fn sees, in order, every row when it is None; the other rows get -inf
+    and a zero gradient, and fn is not called without a row in support. One
+    (dim,) state is taken as a batch of one.
     """
 
     def value_and_grad(x):
         x = np.asarray(x, dtype=float)
+        batch = np.atleast_2d(x)
+        val = np.full(batch.shape[0], -np.inf)
+        grad = np.zeros_like(batch)
+        ok = np.ones(batch.shape[0], dtype=bool) if in_support is None else in_support(batch)
+        if np.any(ok):
+            val[ok], grad[ok] = fn(batch[ok])
         if x.ndim == 1:
-            val, grad = fn(x[None, :])
             return float(val[0]), grad[0]
-        return fn(x)
+        return val, grad
 
     return value_and_grad
 

@@ -175,8 +175,8 @@ def match_columns(mats, reference):
     The reference (p x k), such as a point estimate or a true Q, is visited in
     column order. Each reference column takes, in every matrix at once, the
     unmatched column with the largest |inner product| and the sign of that
-    inner product. Returns (aligned, perm, sign), perm and sign t x k: column
-    j of aligned[i] is sign[i, j] * mats[i][:, perm[i, j]].
+    inner product. Returns (perm, sign), both t x k: column j of the aligned
+    mats[i] is sign[i, j] * mats[i][:, perm[i, j]].
     """
     mats, ref = np.asarray(mats, dtype=float), np.asarray(reference, dtype=float)
     t, _, k = mats.shape
@@ -185,12 +185,10 @@ def match_columns(mats, reference):
     perm = np.empty((t, k), dtype=int)
     sign = np.empty((t, k))
     used = np.zeros((t, k), dtype=bool)
-    aligned = np.empty_like(mats)
     for j in range(k):
         col = np.where(used, 0.0, dots[:, j])
         m = np.argmax(np.abs(col), axis=1)
         perm[:, j] = m
         sign[:, j] = np.where(col[rows, m] >= 0, 1.0, -1.0)
         used[rows, m] = True
-        aligned[:, :, j] = mats[rows, :, m] * sign[:, j, None]
-    return aligned, perm, sign
+    return perm, sign

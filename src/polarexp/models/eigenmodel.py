@@ -91,15 +91,13 @@ def eigenmodel_target(data: EigenmodelData, k: int) -> UnconstrainedTarget:
     # dyad signs s = 2y - 1: the likelihood is log Phi(s eta) for either y
     sign = 2.0 * data.y[iu] - 1.0
 
-    def value_and_grad(theta):
-        val = np.full(theta.shape[0], -np.inf)
-        grad = np.zeros_like(theta)
+    def in_support(theta):
         # runaway warmup trajectories overflow the quadratic prior terms;
         # report -inf so the sampler counts the state as divergent
-        ok = np.max(np.abs(theta), axis=1) <= 1e8
-        if not np.any(ok):
-            return val, grad
-        c, x, lam = unpack_eigen_params(theta[ok], p, k)
+        return np.max(np.abs(theta), axis=1) <= 1e8
+
+    def value_and_grad(theta):
+        c, x, lam = unpack_eigen_params(theta, p, k)
         polar = polar_decompose(x)
         q = polar.q
         qlam = q * lam[:, None, :]
@@ -107,7 +105,7 @@ def eigenmodel_target(data: EigenmodelData, k: int) -> UnconstrainedTarget:
         # C-ordered rows keep each state's value independent of the batch
         eta = c[:, None] + np.take((qlam @ q.swapaxes(1, 2)).reshape(-1, p * p), upper, axis=1)
         lp = log_ndtr(sign * eta)
-        val[ok] = (
+        val = (
             np.sum(lp, axis=1)
             - c * c / 200.0
             - 0.5 * np.sum(x * x, axis=(1, 2))
@@ -120,14 +118,13 @@ def eigenmodel_target(data: EigenmodelData, k: int) -> UnconstrainedTarget:
         wmat[:, upper] = w
         wmat = wmat.reshape(-1, p, p)
         wmat += wmat.swapaxes(1, 2)
-        grad[ok] = pack_eigen_params(
+        return val, pack_eigen_params(
             np.sum(w, axis=1) - c / 100.0,
             polar.vjp(wmat @ qlam) - x,
             0.5 * np.sum(q * (wmat @ q), axis=1) - lam / p,
         )
-        return val, grad
 
-    return UnconstrainedTarget(dim=_eigen_dim(p, k), value_and_grad=batched(value_and_grad))
+    return UnconstrainedTarget(_eigen_dim(p, k), batched(value_and_grad, in_support))
 
 
 def eigenmodel_point_estimate(mat, k: int):
@@ -174,9 +171,9 @@ def simulate_eigenmodel(p, c, q, lam, rng) -> EigenmodelData:
 
 
 def align_eigen_draws(q_draws, lam_draws, reference):
-    """(Q, lambda) draws with each Q's columns matched to the reference by `match_columns`.
+    """lambda draws following each Q's columns as `match_columns` matches them to the reference.
 
-    lambda follows Q's columns, so Q L Q^T is unchanged. The CLI passes eigenmodel_point_estimate.
+    Q L Q^T is unchanged by that match. The CLI passes eigenmodel_point_estimate.
     """
-    q_out, perm, _ = match_columns(q_draws, reference)
-    return q_out, np.take_along_axis(np.asarray(lam_draws, dtype=float), perm, axis=1)
+    perm = match_columns(q_draws, reference)[0]
+    return np.take_along_axis(np.asarray(lam_draws, dtype=float), perm, axis=1)

@@ -12,9 +12,9 @@ The flat parameter vector is
 [vec(X_U), vec(X_V), log d_1..k, log sigma2, atanh phi, log rho],
 length n*k + p*k + k + 3; constrained scalars enter the posterior with
 their change-of-variable Jacobians so the HMC engine sees an
-unconstrained density. Only unpack_fpca_params and pack_fpca_params know
-this layout; fpca_scalars holds the exp/tanh transforms and
-pack_fpca_params their inverses.
+unconstrained density. Only unpack_fpca_params knows this layout: the
+other code reads and writes the blocks through its views. fpca_scalars
+holds the exp/tanh transforms and pack_fpca_params their inverses.
 """
 
 from __future__ import annotations
@@ -171,25 +171,14 @@ def unpack_fpca_params(theta, n: int, p: int, k: int):
     return x_u, x_v, eta_d, theta[..., -3], theta[..., -2], theta[..., -1]
 
 
-def _join_fpca(x_u, x_v, eta_d, eta_sigma, eta_phi, eta_rho):
-    """The flat vectors (..., dim) of unconstrained blocks; unpack_fpca_params inverts it."""
-    lead = np.shape(eta_sigma)
-    return np.concatenate(
-        [
-            np.reshape(x_u, (*lead, -1)),
-            np.reshape(x_v, (*lead, -1)),
-            np.asarray(eta_d, dtype=float),
-            np.stack([eta_sigma, eta_phi, eta_rho], axis=-1),
-        ],
-        axis=-1,
-    )
-
-
 def pack_fpca_params(x_u, x_v, d, sigma2, phi, rho):
     """Flat vectors from natural-scale scalars: the inverse of fpca_scalars after unpack."""
-    return _join_fpca(
-        x_u, x_v, np.log(np.asarray(d, dtype=float)), np.log(sigma2), np.arctanh(phi), np.log(rho)
-    )
+    (n, k), p = np.shape(x_u)[-2:], np.shape(x_v)[-2]
+    theta = np.empty((*np.shape(sigma2), _fpca_dim(n, p, k)))
+    blocks = (x_u, x_v, np.log(d), np.log(sigma2), np.arctanh(phi), np.log(rho))
+    for view, block in zip(unpack_fpca_params(theta, n, p, k), blocks):
+        view[...] = block
+    return theta
 
 
 def fpca_scalars(eta_d, eta_sigma, eta_phi, eta_rho):
@@ -244,23 +233,20 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
     k = hyper.k
     sqdist = (grid[:, None] - grid[None, :]) ** 2
 
-    def value_and_grad(theta):
-        val = np.full(theta.shape[0], -np.inf)
-        grad = np.zeros_like(theta)
+    def in_support(theta):
         eta_d, eta_sigma, eta_phi, eta_rho = unpack_fpca_params(theta, n, p, k)[2:]
         # far outside any plausible scale the exp/tanh transforms overflow or
         # underflow, or tanh rounds to 1; report -inf so the sampler treats
         # the state as divergent
-        ok = (
+        return (
             (np.abs(eta_sigma) <= 40.0)
             & (np.abs(eta_rho) <= 40.0)
             & np.all(np.abs(eta_d) <= 40.0, axis=1)
             & (np.abs(eta_phi) <= ETA_PHI_MAX)
         )
-        if not np.any(ok):
-            return val, grad
-        rows = theta[ok]
-        x_u, x_v, eta_d, eta_sigma, eta_phi, eta_rho = unpack_fpca_params(rows, n, p, k)
+
+    def value_and_grad(theta):
+        x_u, x_v, eta_d, eta_sigma, eta_phi, eta_rho = unpack_fpca_params(theta, n, p, k)
         d_vec, sig2, phi, rho = fpca_scalars(eta_d, eta_sigma, eta_phi, eta_rho)
         omphi2 = 1.0 - phi * phi
 
@@ -281,7 +267,7 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
         lp_rho, dlp_rho = log_invgamma_grad(rho, hyper.alpha, hyper.beta)
         # log-Jacobians of the exp and tanh transforms
         jac = np.sum(eta_d, axis=1) + eta_sigma + np.log(omphi2) + eta_rho
-        val[ok] = ll + lmn_v + lmn_u + lp_rho + lp_phi + lp_sig + np.sum(lp_d, axis=1) + jac
+        val = ll + lmn_v + lmn_u + lp_rho + lp_phi + lp_sig + np.sum(lp_d, axis=1) + jac
 
         # likelihood gradients through the low-rank fit
         g_m = -g_r
@@ -291,18 +277,17 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
         g_d_ll = np.sum(u * g_mv, axis=1)
         # chain rule through each transform, plus its log-Jacobian's derivative,
         # written into the blocks of a C-ordered array, which unpack as views
-        out = np.zeros(rows.shape)
-        gx_u, gx_v, g_d, g_sig, g_phi, g_rho = unpack_fpca_params(out, n, p, k)
+        grad = np.empty_like(theta)
+        gx_u, gx_v, g_d, g_sig, g_phi, g_rho = unpack_fpca_params(grad, n, p, k)
         np.add(polar_u.vjp(g_u), g_lmn_u, out=gx_u)
         np.add(polar_v.vjp(g_v), g_lmn_v, out=gx_v)
         g_d[...] = (g_d_ll + dlp_d) * d_vec + 1.0
         g_sig[...] = (d_sig2 + dlp_sig) * sig2 + 1.0
         g_phi[...] = (d_phi + dlp_phi) * omphi2 - 2.0 * phi
         g_rho[...] = (d_rho_mn + dlp_rho) * rho + 1.0
-        grad[ok] = out
         return val, grad
 
-    return UnconstrainedTarget(dim=_fpca_dim(n, p, k), value_and_grad=batched(value_and_grad))
+    return UnconstrainedTarget(_fpca_dim(n, p, k), batched(value_and_grad, in_support))
 
 
 def fpca_initial_points(data: FpcaData, hyper: FpcaHyper, chains: int, seed: int):
@@ -320,9 +305,10 @@ def fpca_initial_points(data: FpcaData, hyper: FpcaHyper, chains: int, seed: int
     base = pack_fpca_params(u, v, np.maximum(d, 1e-3), max(sigma2, 1e-6), 0.0, rho0)
     # jitter relative to each block's natural entry scale (orthonormal columns
     # have entries of order 1/sqrt(rows); the scalar etas are order 1)
-    j = INIT_JITTER
-    scale = _join_fpca(np.full((n, k), j / np.sqrt(n)), np.full((p, k), j / np.sqrt(p)),
-                       np.full(k, j), j, j, j)
+    scale = np.full(base.size, INIT_JITTER)
+    x_u, x_v = unpack_fpca_params(scale, n, p, k)[:2]
+    x_u /= np.sqrt(n)
+    x_v /= np.sqrt(p)
     points = []
     for c in range(chains):
         rng = np.random.default_rng([seed, c, 104729])
@@ -351,12 +337,13 @@ def fpca_point_estimate_v(mean_fit, k: int) -> np.ndarray:
     return v[:, :k]
 
 
-def align_fpca_draws(u_draws, d_draws, v_draws, reference):
-    """(U, D, V) draws with each V's columns matched to the reference by `match_columns`.
+def align_fpca_draws(d_draws, v_draws, reference):
+    """(d, V) draws with each V's columns matched to the reference by `match_columns`.
 
-    U and d follow V's columns, so U D V^T is unchanged. The CLI passes fpca_point_estimate_v.
+    d follows V's columns; with U's columns permuted and signed the same way,
+    U D V^T is unchanged. The CLI passes fpca_point_estimate_v.
     """
-    d_draws = np.asarray(d_draws, dtype=float)
-    v_out, perm, sign = match_columns(v_draws, reference)
-    u_out = np.take_along_axis(np.asarray(u_draws, dtype=float), perm[:, None, :], axis=2)
-    return u_out * sign[:, None, :], np.take_along_axis(d_draws, perm, axis=1), v_out
+    perm, sign = match_columns(v_draws, reference)
+    v_out = np.take_along_axis(np.asarray(v_draws, dtype=float), perm[:, None, :], axis=2)
+    d_out = np.take_along_axis(np.asarray(d_draws, dtype=float), perm, axis=1)
+    return d_out, v_out * sign[:, None, :]

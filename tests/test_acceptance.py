@@ -236,7 +236,7 @@ class TestCriterion5:
             # so that per-column lambda traces are comparable across chains
             from polarexp.models import align_eigen_draws
 
-            _, lam_chains[ci] = align_eigen_draws(q_draws, lam_draws, reference=q_true)
+            lam_chains[ci] = align_eigen_draws(q_draws, lam_draws, reference=q_true)
         qlq_mean /= cfg.chains * cfg.samples
 
         ess_per_iter = np.array(

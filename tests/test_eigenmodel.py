@@ -6,7 +6,7 @@ from scipy.special import log_ndtr
 from scipy.stats import norm
 
 from polarexp.expansion import check_gradient
-from polarexp.matcore import InputError, polar_decompose
+from polarexp.matcore import InputError, match_columns, polar_decompose
 from polarexp.models import (
     EigenmodelData,
     align_eigen_draws,
@@ -243,6 +243,8 @@ class TestBatch:
         assert val[1] == -np.inf and not np.any(grad[1])
         for i in (0, 2):
             assert val[i] == target.log_density(theta[i])
+            # a row in support keeps its own gradient beside one out of support
+            np.testing.assert_array_equal(grad[i], target.value_and_grad(theta[i])[1])
 
 
 class TestSimulator:
@@ -305,20 +307,24 @@ class TestAlignment:
             sign = rng.choice([-1.0, 1.0], size=k)
             q_draws[i] = base_q[:, perm] * sign
             lam_draws[i] = base_lam[perm]
-        q_out, lam_out = align_eigen_draws(q_draws, lam_draws, reference=base_q)
+        lam_out = align_eigen_draws(q_draws, lam_draws, reference=base_q)
+        perm, sign = match_columns(q_draws, base_q)
         for i in range(t):
-            np.testing.assert_allclose(np.abs(q_out[i]), np.abs(base_q), atol=1e-12)
+            q_out = q_draws[i][:, perm[i]] * sign[i]
+            np.testing.assert_allclose(np.abs(q_out), np.abs(base_q), atol=1e-12)
             np.testing.assert_allclose(lam_out[i], base_lam, atol=1e-12)
             # signs must agree with the reference, not just up to a flip
-            assert np.all(np.sum(q_out[i] * base_q, axis=0) > 0)
+            assert np.all(np.sum(q_out * base_q, axis=0) > 0)
 
     def test_identifiable_function_untouched(self):
         rng = np.random.default_rng(9)
         p, k, t = 6, 2, 10
         q_draws = np.array([random_stiefel(rng, p, k) for _ in range(t)])
         lam_draws = rng.standard_normal((t, k)) * 3.0
-        q_out, lam_out = align_eigen_draws(q_draws, lam_draws, reference=q_draws[0])
+        lam_out = align_eigen_draws(q_draws, lam_draws, reference=q_draws[0])
+        perm, sign = match_columns(q_draws, q_draws[0])
         for i in range(t):
+            q_out = q_draws[i][:, perm[i]] * sign[i]
             before = (q_draws[i] * lam_draws[i]) @ q_draws[i].T
-            after = (q_out[i] * lam_out[i]) @ q_out[i].T
+            after = (q_out * lam_out[i]) @ q_out.T
             np.testing.assert_allclose(after, before, atol=1e-12)

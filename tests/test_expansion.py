@@ -5,6 +5,7 @@ from scipy.stats import chisquare, norm
 from polarexp.expansion import (
     StiefelTarget,
     UnconstrainedTarget,
+    batched,
     check_gradient,
     expand,
     polar_vjp,
@@ -75,6 +76,54 @@ class TestPolarVjp:
         x = np.column_stack([np.ones(4), np.ones(4)])
         with pytest.raises(DegenerateMatrixError):
             polar_vjp(x, np.ones((4, 2)))
+
+
+class TestBatched:
+    @staticmethod
+    def recording(seen):
+        """A batch fn that records its input: value the row sum, gradient the row plus 1."""
+
+        def fn(rows):
+            seen.append(rows.copy())
+            return rows.sum(axis=1), rows + 1.0
+
+        return fn
+
+    @staticmethod
+    def first_positive(batch):
+        return batch[:, 0] > 0
+
+    def test_fn_sees_only_rows_in_support(self):
+        seen = []
+        vag = batched(self.recording(seen), self.first_positive)
+        x = np.array([[1.0, 2.0], [-1.0, 5.0], [3.0, -4.0], [-2.0, 0.5]])
+        val, grad = vag(x)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], x[[0, 2]])
+        np.testing.assert_array_equal(val, [3.0, -np.inf, -1.0, -np.inf])
+        np.testing.assert_array_equal(grad, [[2.0, 3.0], [0.0, 0.0], [4.0, -3.0], [0.0, 0.0]])
+
+    def test_no_row_in_support_never_calls_fn(self):
+        seen = []
+        vag = batched(self.recording(seen), self.first_positive)
+        val, grad = vag(-np.ones((3, 2)))
+        np.testing.assert_array_equal(val, np.full(3, -np.inf))
+        np.testing.assert_array_equal(grad, np.zeros((3, 2)))
+        val, grad = vag(np.array([-1.0, 2.0]))
+        assert type(val) is float and val == -np.inf
+        np.testing.assert_array_equal(grad, np.zeros(2))
+        assert seen == []
+
+    def test_no_predicate_means_every_row(self):
+        seen = []
+        vag = batched(self.recording(seen))
+        x = np.array([[1.0, 2.0], [-1.0, 5.0]])
+        val, grad = vag(x)
+        np.testing.assert_array_equal(seen[0], x)
+        np.testing.assert_array_equal(val, [3.0, 4.0])
+        val, grad = vag(x[1])
+        assert type(val) is float and val == 4.0
+        np.testing.assert_array_equal(grad, [0.0, 6.0])
 
 
 class TestExpandGeneral:

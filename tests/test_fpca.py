@@ -27,7 +27,7 @@ from polarexp.distributions import (
     log_matrix_normal_grad,
     se_kernel,
 )
-from polarexp.matcore import IllConditionedError, InputError
+from polarexp.matcore import IllConditionedError, InputError, match_columns
 from polarexp.models import fpca as fpca_module
 from polarexp.models.fpca import DEFAULT_RHO_MEAN
 
@@ -470,10 +470,13 @@ class TestPointEstimateAndAlignment:
         u_draws = np.array([random_stiefel(rng, n, k) for _ in range(t)])
         v_draws = np.array([random_stiefel(rng, p, k) for _ in range(t)])
         d_draws = 1.0 + rng.random((t, k)) * 4.0
-        u_out, d_out, v_out = align_fpca_draws(u_draws, d_draws, v_draws, reference=v_draws[0])
+        d_out, v_out = align_fpca_draws(d_draws, v_draws, reference=v_draws[0])
+        perm, sign = match_columns(v_draws, v_draws[0])
         for i in range(t):
+            np.testing.assert_array_equal(v_out[i], v_draws[i][:, perm[i]] * sign[i])
+            u_out = u_draws[i][:, perm[i]] * sign[i]
             before = (u_draws[i] * d_draws[i]) @ v_draws[i].T
-            after = (u_out[i] * d_out[i]) @ v_out[i].T
+            after = (u_out * d_out[i]) @ v_out[i].T
             np.testing.assert_allclose(after, before, atol=1e-12)
 
     def test_alignment_resolves_scrambling(self):
@@ -491,10 +494,9 @@ class TestPointEstimateAndAlignment:
             u_draws[i] = base_u[:, perm] * sign
             v_draws[i] = base_v[:, perm] * sign
             d_draws[i] = base_d[perm]
-        u_out, d_out, v_out = align_fpca_draws(
-            u_draws, d_draws, v_draws, reference=base_v
-        )
+        d_out, v_out = align_fpca_draws(d_draws, v_draws, reference=base_v)
+        perm, sign = match_columns(v_draws, base_v)
         for i in range(t):
             np.testing.assert_allclose(v_out[i], base_v, atol=1e-12)
-            np.testing.assert_allclose(u_out[i], base_u, atol=1e-12)
+            np.testing.assert_allclose(u_draws[i][:, perm[i]] * sign[i], base_u, atol=1e-12)
             np.testing.assert_allclose(d_out[i], base_d, atol=1e-12)

@@ -177,12 +177,11 @@ class TestMatchColumns:
         t = 200
         mats = np.array([random_stiefel(rng, p, k) for _ in range(t)])
         reference = random_stiefel(rng, p, k) if given else mats[0]
-        aligned, perm, sign = match_columns(mats, reference)
+        perm, sign = match_columns(mats, reference)
         perm_1, sign_1 = match_columns_per_draw(reference, mats)
         np.testing.assert_array_equal(perm, perm_1)
         np.testing.assert_array_equal(sign, sign_1)
         for i in range(t):
-            np.testing.assert_array_equal(aligned[i], mats[i][:, perm[i]] * sign[i])
             assert sorted(perm[i]) == list(range(k))
 
 
