@@ -36,6 +36,7 @@ from .models import (
     eigenmodel_initial_points,
     eigenmodel_point_estimate,
     eigenmodel_target,
+    fpca_basis,
     fpca_empirical_bayes,
     fpca_initial_points,
     fpca_point_estimate_v,
@@ -326,10 +327,11 @@ def cmd_fpca(args) -> int:
     outputs, draws, wall = _sample(target, config, inits)
 
     n_chains, n_iter = config.chains, config.samples
-    x_u, x_v, *eta = unpack_fpca_params(draws, n, p, k)
-    u = polar_decompose(x_u.reshape(-1, n, k)).q
-    v = polar_decompose(x_v.reshape(-1, p, k)).q
+    basis = fpca_basis(data.grid, hyper)
+    x_u, z, *eta = unpack_fpca_params(draws, n, basis.m, k)
     d, sigma2, phi, rho = fpca_scalars(*eta)
+    u = polar_decompose(x_u.reshape(-1, n, k)).q
+    v = polar_decompose(basis.x_v(z, rho).reshape(-1, p, k)).q
     scalar_draws = np.concatenate([d, np.stack([sigma2, phi, rho], axis=-1)], axis=-1)
     d = d.reshape(-1, k)
     mean_fit = np.einsum("tij,tj,tlj->il", u, d, v, optimize=True) / (n_chains * n_iter)
@@ -367,7 +369,8 @@ def cmd_fpca(args) -> int:
 
     names = [f"d_{j + 1}" for j in range(k)] + ["sigma2", "phi", "rho"]
     _write_summary(out / "summary.csv", scalar_draws, names)
-    _write_meta(out, merged, config, outputs, wall, hyper=asdict(hyper), stride=stride,
+    _write_meta(out, merged, config, outputs, wall, hyper=asdict(hyper),
+                kernel_basis={"m": basis.m, "rho_lo": basis.rho_lo}, stride=stride,
                 pc_multiples=[float(m) for m in multiples])
     return 0
 

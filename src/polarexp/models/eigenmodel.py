@@ -4,7 +4,8 @@ Binary symmetric adjacency Y with edge probabilities Phi[c + (Q L Q^T)_ij],
 Q a p x k orthonormal matrix with a uniform prior (expanded to an
 unconstrained X), L = diag(lambda) with N(0, p) priors, and c ~ N(0, 100).
 The flat parameter vector is [c, vec(X), lambda], length 1 + p*k + k;
-only unpack_eigen_params and pack_eigen_params know this layout.
+only unpack_eigen_params knows this layout: pack_eigen_params writes
+through its views.
 """
 
 from __future__ import annotations
@@ -71,9 +72,12 @@ def unpack_eigen_params(theta, p: int, k: int):
 
 
 def pack_eigen_params(c, x, lam):
-    """The flat vectors (..., dim) of (c, X, lambda); unpack_eigen_params inverts it."""
-    c = np.asarray(c, dtype=float)
-    return np.concatenate([c[..., None], np.reshape(x, (*c.shape, -1)), lam], axis=-1)
+    """The flat vectors (..., dim) of (c, X, lambda), written into unpack_eigen_params's views."""
+    p, k = np.shape(x)[-2:]
+    theta = np.empty((*np.shape(c), _eigen_dim(p, k)))
+    for view, block in zip(unpack_eigen_params(theta, p, k), (c, x, lam)):
+        view[...] = block
+    return theta
 
 
 def eigenmodel_target(data: EigenmodelData, k: int) -> UnconstrainedTarget:

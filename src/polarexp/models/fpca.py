@@ -3,18 +3,22 @@
 Model: the doubly centered n x p data matrix satisfies
 Y = U D V^T + sigma E Omega(phi)^{1/2}, with U (n x k) and V (p x k)
 orthonormal, D = diag(d) positive, and the noise rows independent AR(1)
-series across the day grid. V gets a MACG(K(rho)) prior with a
-squared-exponential kernel, U a uniform prior, and the scalars get
-inverse-gamma / arcsine / half-normal priors with empirical-Bayes
-hyperparameters.
+series across the day grid. V gets a MACG prior whose kernel is the
+rank-m spectral approximation Phi diag(S_rho) Phi^T of the
+squared-exponential K(rho) (SpectralBasis), U a uniform prior, and the
+scalars get inverse-gamma / arcsine / half-normal priors with
+empirical-Bayes hyperparameters.
 
-The flat parameter vector is
-[vec(X_U), vec(X_V), log d_1..k, log sigma2, atanh phi, log rho],
-length n*k + p*k + k + 3; constrained scalars enter the posterior with
+V is the polar factor of X_V = Phi diag(sqrt S_rho) Z with Z ~ N(0, I), the
+non-centred form of the MACG expansion: no state factors a kernel, and
+rho moves without dragging X_V's prior scale along. The flat parameter
+vector is [vec(X_U), vec(Z), log d_1..k, log sigma2, atanh phi, log rho],
+length n*k + m*k + k + 3; constrained scalars enter the posterior with
 their change-of-variable Jacobians so the HMC engine sees an
 unconstrained density. Only unpack_fpca_params knows this layout: the
 other code reads and writes the blocks through its views. fpca_scalars
-holds the exp/tanh transforms and pack_fpca_params their inverses.
+holds the exp/tanh transforms, pack_fpca_params their inverses, and
+SpectralBasis.x_v the map from Z to X_V.
 """
 
 from __future__ import annotations
@@ -23,10 +27,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+from scipy.special import gammainccinv
 
 from ..distributions import (
-    LOG_2PI,
     Ar1Params,
     SeKernelParams,
     ar1_loglik_grad,
@@ -37,11 +40,10 @@ from ..distributions import (
     sample_ar1,
     sample_macg,
     sample_uniform_stiefel,
-    se_gram,
     se_kernel,
 )
 from ..expansion import UnconstrainedTarget, batched
-from ..matcore import IllConditionedError, InputError, match_columns, polar_decompose, thin_svd
+from ..matcore import InputError, match_columns, polar_decompose, thin_svd
 
 DEFAULT_RHO_MEAN = 365.0 / (4.0 * np.pi)
 DEFAULT_RHO_SD = 5.0
@@ -49,6 +51,18 @@ DEFAULT_RHO_SD = 5.0
 INIT_JITTER = 0.05
 # Largest |atanh phi| whose tanh stays below 1; past it 1 - phi^2 can round to 0.
 ETA_PHI_MAX = float(np.arctanh(np.nextafter(1.0, 0.0)))
+# The basis is sized at the prior's RHO_LO_QUANTILE quantile of rho: there its
+# first dropped frequency omega has rho * omega >= SPECTRAL_CUTOFF, so it
+# carries at most 1e-8 of the spectral density's peak.
+RHO_LO_QUANTILE = 1e-3
+SPECTRAL_CUTOFF = float(np.sqrt(2.0 * np.log(1e8)))
+# sqrt S_rho never falls below this fraction of its peak. On a grid short
+# against rho the exact density would leave X_V's high-frequency columns
+# below polar_decompose's rank tolerance (sqrt S_3 / sqrt S_1 is 4e-14 on 12
+# days at rho = 27.5); the floor moves K(rho)'s entries by about 3e-9.
+SPECTRAL_FLOOR = 1e-9
+# ridge of the least-squares Z whose X_V starts at the truncated-SVD V
+INIT_RIDGE = 0.01
 
 
 @dataclass(frozen=True)
@@ -95,8 +109,9 @@ def center_data(y_raw, grid=None) -> FpcaData:
 class FpcaHyper:
     """Hyperparameters; alpha/beta are the Gamma parameters for 1/rho.
 
-    These fields are the `hyper` entry of the CLI's run_meta.json. The kernel's
-    diagonal jitter is not among them: K(rho) is `distributions.se_gram` at its default.
+    These fields are the `hyper` entry of the CLI's run_meta.json. The kernel
+    has no nugget: its rank m and the rho it is sized at follow from the grid
+    and alpha/beta (fpca_basis) and are run_meta.json's `kernel_basis`.
     """
 
     k: int
@@ -151,32 +166,33 @@ def fpca_empirical_bayes(y, k: int) -> FpcaHyper:
     return FpcaHyper(k=k, nu=1.0, s2=3.0 * sigma2_hat, tau2=tau2, alpha=alpha, beta=beta)
 
 
-def _fpca_dim(n: int, p: int, k: int) -> int:
-    return n * k + p * k + k + 3
+def _fpca_dim(n: int, m: int, k: int) -> int:
+    return n * k + m * k + k + 3
 
 
-def unpack_fpca_params(theta, n: int, p: int, k: int):
-    """Split flat vectors (..., dim) into (x_u, x_v, eta_d, eta_sigma, eta_phi, eta_rho).
+def unpack_fpca_params(theta, n: int, m: int, k: int):
+    """Split flat vectors (..., dim) into (x_u, z, eta_d, eta_sigma, eta_phi, eta_rho).
 
     The blocks are views with the leading shape (...): x_u (..., n, k),
-    x_v (..., p, k), eta_d (..., k) and the three scalar etas (...).
+    z (..., m, k) for a basis of m functions, eta_d (..., k) and the three
+    scalar etas (...).
     """
     theta = np.asarray(theta, dtype=float)
-    if theta.shape[-1] != _fpca_dim(n, p, k):
-        raise ValueError(f"expected {_fpca_dim(n, p, k)} parameters, got {theta.shape[-1]}")
+    if theta.shape[-1] != _fpca_dim(n, m, k):
+        raise ValueError(f"expected {_fpca_dim(n, m, k)} parameters, got {theta.shape[-1]}")
     lead = theta.shape[:-1]
     x_u = theta[..., : n * k].reshape(*lead, n, k)
-    x_v = theta[..., n * k : (n + p) * k].reshape(*lead, p, k)
-    eta_d = theta[..., (n + p) * k : -3]
-    return x_u, x_v, eta_d, theta[..., -3], theta[..., -2], theta[..., -1]
+    z = theta[..., n * k : (n + m) * k].reshape(*lead, m, k)
+    eta_d = theta[..., (n + m) * k : -3]
+    return x_u, z, eta_d, theta[..., -3], theta[..., -2], theta[..., -1]
 
 
-def pack_fpca_params(x_u, x_v, d, sigma2, phi, rho):
+def pack_fpca_params(x_u, z, d, sigma2, phi, rho):
     """Flat vectors from natural-scale scalars: the inverse of fpca_scalars after unpack."""
-    (n, k), p = np.shape(x_u)[-2:], np.shape(x_v)[-2]
-    theta = np.empty((*np.shape(sigma2), _fpca_dim(n, p, k)))
-    blocks = (x_u, x_v, np.log(d), np.log(sigma2), np.arctanh(phi), np.log(rho))
-    for view, block in zip(unpack_fpca_params(theta, n, p, k), blocks):
+    (n, k), m = np.shape(x_u)[-2:], np.shape(z)[-2]
+    theta = np.empty((*np.shape(sigma2), _fpca_dim(n, m, k)))
+    blocks = (x_u, z, np.log(d), np.log(sigma2), np.arctanh(phi), np.log(rho))
+    for view, block in zip(unpack_fpca_params(theta, n, m, k), blocks):
         view[...] = block
     return theta
 
@@ -186,55 +202,74 @@ def fpca_scalars(eta_d, eta_sigma, eta_phi, eta_rho):
     return np.exp(eta_d), np.exp(eta_sigma), np.tanh(eta_phi), np.exp(eta_rho)
 
 
-def _kernel_terms(sqdist, rho, x_v):
-    """log N(x_v | 0, K(rho), I), its x_v-gradient and its rho-derivative, per state.
+@dataclass(frozen=True)
+class SpectralBasis:
+    """Rank-m squared-exponential kernel on a day grid: K(rho) ~ phi diag(S_rho) phi^T.
 
-    Per state: one Cholesky factorisation of K(rho), one k-column solve for
-    G = K^{-1} x_v and one dpotri for the lower triangle of K^{-1}. With
-    K' = dK/drho = K o sqdist / rho^3, the rho-derivative is
-    -(k/2) tr(K^{-1} K') + (1/2) <G, K' G> (Rasmussen & Williams 2006, 5.4.1);
-    K' is symmetric with a zero diagonal, so tr(K^{-1} K') = 2 <tril(K^{-1}), K'>.
+    phi (p, m) holds the first m sine eigenfunctions of the Laplacian with a
+    zero boundary on [c - L, c + L], c the grid's midpoint and L its range,
+    at the grid: phi_j(t) = L^{-1/2} sin(omega_j (t - c + L)), omega_j = pi j / (2L).
+    S_rho is the unit-variance SE spectral density at omega_j (Solin & Sarkka,
+    arXiv:1401.5508). rho_lo is the rho the rank is sized at (fpca_basis).
     """
-    p, k = x_v.shape[-2:]
-    lmn, d_rho_mn = np.empty((2, rho.size))
-    g_lmn = np.empty_like(x_v)
-    for i in range(rho.size):
-        kern = se_gram(sqdist, rho[i])
-        chol, info = dpotrf(kern, lower=1, clean=1)
-        if info > 0:
-            raise IllConditionedError(f"Cholesky of K(rho = {rho[i]:.6g}) failed at minor {info}")
-        solved = dpotrs(chol, x_v[i], lower=1)[0]
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        lmn[i] = -0.5 * p * k * LOG_2PI - 0.5 * k * logdet - 0.5 * np.sum(x_v[i] * solved)
-        g_lmn[i] = -solved
-        # rho^3 K'; the nugget sits on the diagonal, where sqdist is 0
-        kern *= sqdist
-        # clean=1 left the factor's upper triangle zero, and dpotri leaves it so;
-        # the Fortran-ordered result's transpose is C-ordered, as vdot wants
-        inv_lower = dpotri(chol, lower=1, overwrite_c=1)[0]
-        d_rho_mn[i] = (-k * np.vdot(inv_lower.T, kern)
-                       + 0.5 * np.vdot(solved, kern @ solved)) / rho[i] ** 3
-    return lmn, g_lmn, d_rho_mn
+
+    phi: np.ndarray
+    omega: np.ndarray
+    rho_lo: float
+
+    @property
+    def m(self) -> int:
+        return self.omega.size
+
+    def sqrt_density(self, rho):
+        """sqrt S_rho(omega_j) and its rho-derivative, each (..., m) for rho of shape (...).
+
+        sqrt S_rho(omega) = (2 pi)^{1/4} sqrt(rho) (exp(-rho^2 omega^2 / 4) + SPECTRAL_FLOOR).
+        """
+        rho = np.asarray(rho, dtype=float)[..., None]
+        decay = np.exp(-0.25 * (rho * self.omega) ** 2)
+        peak = (2.0 * np.pi) ** 0.25 * np.sqrt(rho)
+        sqrt_s = peak * (decay + SPECTRAL_FLOOR)
+        return sqrt_s, 0.5 * sqrt_s / rho - peak * decay * (0.5 * rho * self.omega**2)
+
+    def x_v(self, z, rho):
+        """X_V = phi diag(sqrt S_rho) Z for Z (..., m, k) and rho (...): the (..., p, k) stack."""
+        return self.phi @ (self.sqrt_density(rho)[0][..., None] * z)
+
+
+def fpca_basis(grid, hyper: FpcaHyper) -> SpectralBasis:
+    """The SpectralBasis of the grid, sized at the prior's RHO_LO_QUANTILE quantile of rho.
+
+    With 1/rho ~ Gamma(alpha, beta), rho_lo = beta / Q^{-1}(alpha, RHO_LO_QUANTILE),
+    and m = ceil(SPECTRAL_CUTOFF 2L / (pi rho_lo)), at least k, is the
+    fewest frequencies with rho_lo omega_{m+1} above the cutoff.
+    """
+    grid = np.asarray(grid, dtype=float)
+    center, span = 0.5 * (grid[0] + grid[-1]), grid[-1] - grid[0]
+    rho_lo = float(hyper.beta / gammainccinv(hyper.alpha, RHO_LO_QUANTILE))
+    m = max(hyper.k, int(np.ceil(SPECTRAL_CUTOFF * 2.0 * span / (np.pi * rho_lo))))
+    omega = np.pi * np.arange(1.0, m + 1.0) / (2.0 * span)
+    phi = np.sin(np.outer(grid - center + span, omega)) / np.sqrt(span)
+    return SpectralBasis(phi=phi, omega=omega, rho_lo=rho_lo)
 
 
 def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
-    """Expanded log posterior over the flat FPCA parameter vector.
+    """Expanded log posterior over the flat FPCA parameter vector of fpca_basis's rank.
 
-    Each evaluation factors K(rho) afresh (it depends on the state); a
-    Cholesky failure at extreme rho surfaces as an ill-conditioning error,
-    which the HMC engine treats as a divergence. A batch of states is
-    evaluated in one pass, except for the kernel: per state, one Cholesky
-    factorisation of K(rho), one solve with it for K^{-1} X_V and one dpotri
-    for the lower triangle of K^{-1} (see _kernel_terms).
+    A batch of states is evaluated in one pass of stacked array operations;
+    no state factors a matrix other than by the thin SVDs of its polar
+    factors. Z has the N(0, I) prior. With G = Phi^T g_X, g_X the likelihood's
+    gradient pulled back through V's polar factor to X_V, the Z-gradient is
+    sqrt S_rho o G - Z and the rho-derivative sum G o Z o d sqrt S_rho / d rho.
     """
     y = data.y
-    grid = np.asarray(data.grid, dtype=float)
     n, p = y.shape
     k = hyper.k
-    sqdist = (grid[:, None] - grid[None, :]) ** 2
+    basis = fpca_basis(data.grid, hyper)
+    m = basis.m
 
     def in_support(theta):
-        eta_d, eta_sigma, eta_phi, eta_rho = unpack_fpca_params(theta, n, p, k)[2:]
+        eta_d, eta_sigma, eta_phi, eta_rho = unpack_fpca_params(theta, n, m, k)[2:]
         # far outside any plausible scale the exp/tanh transforms overflow or
         # underflow, or tanh rounds to 1; report -inf so the sampler treats
         # the state as divergent
@@ -246,19 +281,19 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
         )
 
     def value_and_grad(theta):
-        x_u, x_v, eta_d, eta_sigma, eta_phi, eta_rho = unpack_fpca_params(theta, n, p, k)
+        x_u, z, eta_d, eta_sigma, eta_phi, eta_rho = unpack_fpca_params(theta, n, m, k)
         d_vec, sig2, phi, rho = fpca_scalars(eta_d, eta_sigma, eta_phi, eta_rho)
         omphi2 = 1.0 - phi * phi
 
         polar_u = polar_decompose(x_u)
-        polar_v = polar_decompose(x_v)
+        polar_v = polar_decompose(basis.x_v(z, rho))
         u, v = polar_u.q, polar_v.q
         ud = u * d_vec[:, None, :]
         r = y - ud @ v.swapaxes(1, 2)
 
         ll, g_r, d_sig2, d_phi = ar1_loglik_grad(r, phi, sig2)
 
-        lmn_v, g_lmn_v, d_rho_mn = _kernel_terms(sqdist, rho, x_v)
+        lmn_z, g_lmn_z = log_matrix_normal_grad(z, None)
         lmn_u, g_lmn_u = log_matrix_normal_grad(x_u, None)
 
         lp_d, dlp_d = log_halfnormal_grad(d_vec, hyper.tau2)
@@ -267,7 +302,7 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
         lp_rho, dlp_rho = log_invgamma_grad(rho, hyper.alpha, hyper.beta)
         # log-Jacobians of the exp and tanh transforms
         jac = np.sum(eta_d, axis=1) + eta_sigma + np.log(omphi2) + eta_rho
-        val = ll + lmn_v + lmn_u + lp_rho + lp_phi + lp_sig + np.sum(lp_d, axis=1) + jac
+        val = ll + lmn_z + lmn_u + lp_rho + lp_phi + lp_sig + np.sum(lp_d, axis=1) + jac
 
         # likelihood gradients through the low-rank fit
         g_m = -g_r
@@ -275,19 +310,24 @@ def fpca_target(data: FpcaData, hyper: FpcaHyper) -> UnconstrainedTarget:
         g_u = g_mv * d_vec[:, None, :]
         g_v = g_m.swapaxes(1, 2) @ ud
         g_d_ll = np.sum(u * g_mv, axis=1)
+        # G: the pullback to X_V in the basis coordinates
+        g_w = basis.phi.T @ polar_v.vjp(g_v)
+        sqrt_s, d_sqrt_s = basis.sqrt_density(rho)
         # chain rule through each transform, plus its log-Jacobian's derivative,
         # written into the blocks of a C-ordered array, which unpack as views
         grad = np.empty_like(theta)
-        gx_u, gx_v, g_d, g_sig, g_phi, g_rho = unpack_fpca_params(grad, n, p, k)
+        gx_u, g_z, g_d, g_sig, g_phi, g_rho = unpack_fpca_params(grad, n, m, k)
         np.add(polar_u.vjp(g_u), g_lmn_u, out=gx_u)
-        np.add(polar_v.vjp(g_v), g_lmn_v, out=gx_v)
+        np.multiply(sqrt_s[..., None], g_w, out=g_z)
+        g_z += g_lmn_z
         g_d[...] = (g_d_ll + dlp_d) * d_vec + 1.0
         g_sig[...] = (d_sig2 + dlp_sig) * sig2 + 1.0
         g_phi[...] = (d_phi + dlp_phi) * omphi2 - 2.0 * phi
-        g_rho[...] = (d_rho_mn + dlp_rho) * rho + 1.0
+        d_rho_v = np.sum(np.sum(g_w * z, axis=2) * d_sqrt_s, axis=1)
+        g_rho[...] = (d_rho_v + dlp_rho) * rho + 1.0
         return val, grad
 
-    return UnconstrainedTarget(_fpca_dim(n, p, k), batched(value_and_grad, in_support))
+    return UnconstrainedTarget(_fpca_dim(n, m, k), batched(value_and_grad, in_support))
 
 
 def fpca_initial_points(data: FpcaData, hyper: FpcaHyper, chains: int, seed: int):
@@ -295,20 +335,27 @@ def fpca_initial_points(data: FpcaData, hyper: FpcaHyper, chains: int, seed: int
 
     The posterior concentrates sharply around the low-rank fit when the
     signal is strong; random N(0, 1) starts can leave step-size adaptation
-    stranded far from the mode. Each chain gets an independent relative
-    jitter so the chains remain distinguishable for convergence diagnostics.
+    stranded far from the mode. Z starts at the ridge solution
+    A^T (A A^T + INIT_RIDGE I)^{-1} V of A Z = V, A = Phi diag(sqrt S_rho0) at
+    the prior mode rho0, scaled to the root-mean-square entry 1 of Z's
+    prior; X_V's polar factor does not depend on that scale. Each chain gets
+    an independent relative jitter so the chains remain distinguishable for
+    convergence diagnostics.
     """
     n, p = data.y.shape
     k = hyper.k
+    basis = fpca_basis(data.grid, hyper)
     u, d, v, sigma2 = _rank_k_fit(data.y, k)
     rho0 = hyper.beta / (hyper.alpha + 1.0)
-    base = pack_fpca_params(u, v, np.maximum(d, 1e-3), max(sigma2, 1e-6), 0.0, rho0)
+    a = basis.phi * basis.sqrt_density(rho0)[0]
+    z0 = a.T @ np.linalg.solve(a @ a.T + INIT_RIDGE * np.eye(p), v)
+    z0 *= np.sqrt(z0.size) / np.linalg.norm(z0)
+    base = pack_fpca_params(u, z0, np.maximum(d, 1e-3), max(sigma2, 1e-6), 0.0, rho0)
     # jitter relative to each block's natural entry scale (orthonormal columns
-    # have entries of order 1/sqrt(rows); the scalar etas are order 1)
+    # have entries of order 1/sqrt(rows); Z's and the scalar etas are order 1)
     scale = np.full(base.size, INIT_JITTER)
-    x_u, x_v = unpack_fpca_params(scale, n, p, k)[:2]
+    x_u = unpack_fpca_params(scale, n, basis.m, k)[0]
     x_u /= np.sqrt(n)
-    x_v /= np.sqrt(p)
     points = []
     for c in range(chains):
         rng = np.random.default_rng([seed, c, 104729])

@@ -37,6 +37,7 @@ from polarexp.models import (
     center_data,
     eigenmodel_initial_points,
     eigenmodel_target,
+    fpca_basis,
     fpca_empirical_bayes,
     fpca_initial_points,
     fpca_point_estimate_v,
@@ -312,11 +313,13 @@ class TestCriterion7:
         inits = fpca_initial_points(data, hyper, cfg.chains, cfg.seed)
         outs = run_chains(target, cfg, init=inits)
 
+        basis = fpca_basis(grid, hyper)
         mean_fit = np.zeros((n, p))
         rho_draws = []
         for o in outs:
             for draw in o.draws:
-                x_u, x_v, eta_d, _, _, eta_r = unpack_fpca_params(draw, n, p, k)
+                x_u, z, eta_d, _, _, eta_r = unpack_fpca_params(draw, n, basis.m, k)
+                x_v = basis.x_v(z, np.exp(eta_r))
                 mean_fit += (polar_decompose(x_u).q * np.exp(eta_d)) @ polar_decompose(x_v).q.T
                 rho_draws.append(np.exp(eta_r))
         mean_fit /= cfg.chains * cfg.samples

@@ -300,6 +300,9 @@ class TestFpcaCommand:
         np.testing.assert_allclose(v.T @ v, np.eye(2), atol=1e-6)
         meta = json.loads((out / "run_meta.json").read_text())
         assert meta["hyper"]["k"] == 2
+        # 24 days at the default rho prior: rho_lo = 17.7 needs 6 frequencies
+        assert meta["kernel_basis"]["m"] == 6
+        assert meta["kernel_basis"]["rho_lo"] == pytest.approx(17.675, abs=1e-3)
 
     def test_determinism(self, tmp_path):
         # v3_draws.csv and pc_effect.csv pass through the column aligner

@@ -8,9 +8,9 @@ from polarexp.expansion import check_gradient
 from polarexp.hmc import leapfrog
 from polarexp.models import (
     FpcaData,
-    FpcaHyper,
     align_fpca_draws,
     center_data,
+    fpca_basis,
     fpca_empirical_bayes,
     fpca_initial_points,
     fpca_point_estimate_v,
@@ -21,14 +21,10 @@ from polarexp.models import (
     simulate_fpca,
     unpack_fpca_params,
 )
-from polarexp.distributions import (
-    SeKernelParams,
-    ar1_loglik_grad,
-    log_matrix_normal_grad,
-    se_kernel,
-)
-from polarexp.matcore import IllConditionedError, InputError, match_columns
-from polarexp.models import fpca as fpca_module
+from polarexp.diagnostics import split_rhat
+from polarexp.distributions import ar1_loglik_grad, se_gram
+from polarexp.hmc import HmcConfig, run_chains
+from polarexp.matcore import InputError, match_columns
 from polarexp.models.fpca import DEFAULT_RHO_MEAN
 
 
@@ -160,13 +156,13 @@ class TestEmpiricalBayes:
 class TestPacking:
     def test_round_trip(self):
         rng = np.random.default_rng(6)
-        n, p, k = 4, 6, 2
+        n, m, k = 4, 6, 2
         x_u = rng.standard_normal((n, k))
-        x_v = rng.standard_normal((p, k))
-        theta = pack_fpca_params(x_u, x_v, [2.0, 0.5], 1.3, 0.4, 29.0)
-        xu2, xv2, eta_d, eta_s, eta_p, eta_r = unpack_fpca_params(theta, n, p, k)
+        z = rng.standard_normal((m, k))
+        theta = pack_fpca_params(x_u, z, [2.0, 0.5], 1.3, 0.4, 29.0)
+        xu2, z2, eta_d, eta_s, eta_p, eta_r = unpack_fpca_params(theta, n, m, k)
         np.testing.assert_array_equal(xu2, x_u)
-        np.testing.assert_array_equal(xv2, x_v)
+        np.testing.assert_array_equal(z2, z)
         np.testing.assert_allclose(np.exp(eta_d), [2.0, 0.5], rtol=1e-14)
         assert np.exp(eta_s) == pytest.approx(1.3, rel=1e-14)
         assert np.tanh(eta_p) == pytest.approx(0.4, rel=1e-14)
@@ -178,13 +174,13 @@ class TestPacking:
 
     def test_batched_round_trip_and_rows(self):
         rng = np.random.default_rng(26)
-        n, p, k = 4, 6, 2
-        theta = rng.standard_normal((2, 3, n * k + p * k + k + 3))
-        blocks = unpack_fpca_params(theta, n, p, k)
-        assert [b.shape for b in blocks] == [(2, 3, n, k), (2, 3, p, k), (2, 3, k),
+        n, m, k = 4, 6, 2
+        theta = rng.standard_normal((2, 3, n * k + m * k + k + 3))
+        blocks = unpack_fpca_params(theta, n, m, k)
+        assert [b.shape for b in blocks] == [(2, 3, n, k), (2, 3, m, k), (2, 3, k),
                                              (2, 3), (2, 3), (2, 3)]
         for idx in np.ndindex(2, 3):
-            for got, want in zip(blocks, unpack_fpca_params(theta[idx], n, p, k)):
+            for got, want in zip(blocks, unpack_fpca_params(theta[idx], n, m, k)):
                 np.testing.assert_array_equal(got[idx], want)
         again = pack_fpca_params(blocks[0], blocks[1], *fpca_scalars(*blocks[2:]))
         np.testing.assert_allclose(again, theta, rtol=1e-14, atol=1e-14)
@@ -218,11 +214,15 @@ class TestAr1Grad:
 
 class TestTarget:
     @staticmethod
-    def make_target(seed=8, n=6, p=16, k=2):
+    def make_model(seed=8, n=6, p=16, k=2):
         rng = np.random.default_rng(seed)
         grid = np.linspace(1.0, 365.0, p)
         data = simulate_fpca(n, grid, k, [5.0, 2.5], 0.5, 0.3, 29.0, rng)
-        hyper = fpca_empirical_bayes(data.y, k)
+        return data, fpca_empirical_bayes(data.y, k), rng
+
+    @staticmethod
+    def make_target(seed=8):
+        data, hyper, rng = TestTarget.make_model(seed)
         return fpca_target(data, hyper), rng
 
     def test_gradient_finite_difference(self):
@@ -235,12 +235,12 @@ class TestTarget:
         # chain 1's X blocks overflow to inf on its first position update while
         # its scalars stay put; it diverges, and chain 0 carries on
         target, rng = self.make_target()
-        n, p, k = 6, 16, 2
+        x_end = target.dim - 2 - 3  # the X_U and Z blocks precede k = 2 and 3 scalars
         x0 = 0.5 * rng.standard_normal((2, target.dim))
         _, g0 = target.value_and_grad(x0)
         m0 = np.zeros_like(x0)
-        m0[1, : (n + p) * k] = 1e308
-        m0[1, (n + p) * k :] = -g0[1, (n + p) * k :]  # the half step cancels it
+        m0[1, :x_end] = 1e308
+        m0[1, x_end:] = -g0[1, x_end:]  # the half step cancels it
         with np.errstate(over="ignore"):
             _, _, val, _ = leapfrog(
                 target, x0, m0, g0, np.array([0.01, 2.0]), 1, np.ones_like(x0)
@@ -268,16 +268,18 @@ class TestTarget:
         assert check_gradient(target, fpca_initial_points(data, hyper, 4, 3)[0]).ok
 
     def test_sign_permutation_invariance(self):
-        target, rng = self.make_target(seed=9)
-        n, p, k = 6, 16, 2
+        data, hyper, rng = self.make_model(seed=9)
+        target = fpca_target(data, hyper)
         theta = 0.5 * rng.standard_normal(target.dim)
         base = target.log_density(theta)
-        x_u, x_v, eta_d, es, ep, er = unpack_fpca_params(theta, n, p, k)
-        # swap both columns and flip a joint sign: U D V^T is unchanged
+        x_u, z, eta_d, es, ep, er = unpack_fpca_params(
+            theta, data.n, fpca_basis(data.grid, hyper).m, hyper.k)
+        # swap both columns and flip a joint sign: U D V^T is unchanged, and
+        # X_V = Phi diag(sqrt S) Z permutes and flips with Z's columns
         perm = [1, 0]
         s = np.array([-1.0, 1.0])
         theta2 = pack_fpca_params(
-            x_u[:, perm] * s, x_v[:, perm] * s, *fpca_scalars(eta_d[perm], es, ep, er)
+            x_u[:, perm] * s, z[:, perm] * s, *fpca_scalars(eta_d[perm], es, ep, er)
         )
         assert target.log_density(theta2) == pytest.approx(base, abs=1e-10)
 
@@ -291,106 +293,105 @@ class TestTarget:
 
 
 class TestKernelTerms:
-    RHOS = (8.0, 12.0, 29.0, 60.0)
+    """The V block's reduced-rank kernel against the dense K(rho) as an oracle."""
+
+    RHOS = (None, 29.0, 60.0)  # None: the rho_lo the rank is sized at
 
     @staticmethod
-    def reference_terms(grid, calls):
-        """The kernel terms from se_kernel, log_matrix_normal_grad and an explicit K^{-1}."""
+    def basis_error(grid, rho):
+        """Largest entry of |A A^T - K(rho)|, A = x_v(I) the Z -> X_V map, K nugget-free.
 
-        def terms(sqdist, rho, x_v):
-            calls.append(rho.size)
-            k = x_v.shape[-1]
-            lmn, d_rho = np.empty(rho.size), np.empty(rho.size)
-            g_lmn = np.empty_like(x_v)
-            for i in range(rho.size):
-                kern = se_kernel(SeKernelParams(grid=grid, rho=rho[i]))
-                lmn[i], g_lmn[i] = log_matrix_normal_grad(x_v[i], kern)
-                kprime = kern.mat * (sqdist / rho[i] ** 3)
-                kinv = kern.solve(np.eye(kern.dim))
-                d_rho[i] = -0.5 * k * np.sum(kinv * kprime) + 0.5 * np.sum(
-                    (g_lmn[i] @ g_lmn[i].T) * kprime
-                )
-            return lmn, g_lmn, d_rho
+        X_V = A Z with Z ~ N(0, I) has the row covariance A A^T = Phi diag(S_rho) Phi^T.
+        """
+        data = simulate_fpca(6, grid, 2, [5.0, 2.5], 0.5, 0.3, 29.0, np.random.default_rng(21))
+        basis = fpca_basis(grid, fpca_empirical_bayes(data.y, 2))
+        rho = basis.rho_lo if rho is None else rho
+        a = basis.x_v(np.eye(basis.m), rho)
+        dense = se_gram((grid[:, None] - grid[None, :]) ** 2, rho, 0.0)
+        return float(np.max(np.abs(a @ a.T - dense)))
 
-        return terms
+    @staticmethod
+    def tolerance(grid, rho):
+        # the truncation is sized to 1e-8 at rho_lo (None). At large rho the
+        # zero boundary dominates: a grid end's first mirror image lies a range
+        # L away, so the error is exp(-L^2 / (2 rho^2)), 1.5e-8 at rho = 60 on
+        # the 73-day grid, a rho above the prior's 1 - 4e-5 quantile
+        span = grid[-1] - grid[0]
+        return 1e-8 if rho is None or rho <= 50.0 else 1.05 * np.exp(-span**2 / (2 * rho**2))
 
-    @pytest.mark.parametrize("rhos", [(29.0, 11.0), (41.0,)], ids=["two-states", "one-state"])
-    def test_target_equals_reference_bit_for_bit(self, monkeypatch, rhos):
-        # the rho-derivative takes tr(K^{-1} K') from dpotri's triangle, not from
-        # the full K^{-1}, so log rho's coordinate agrees to rounding only
-        data, hyper, rng = TestTarget.make_73_day_grid()
-        target = fpca_target(data, hyper)
-        theta = np.array(fpca_initial_points(data, hyper, len(rhos), 4))
-        theta[:, -1] = np.log(rhos)
-        theta = theta[0] if len(rhos) == 1 else theta
-        val, grad = target.value_and_grad(theta)
-        calls = []
-        monkeypatch.setattr(fpca_module, "_kernel_terms", self.reference_terms(data.grid, calls))
-        ref_val, ref_grad = target.value_and_grad(theta)
-        assert calls == [len(rhos)]
-        np.testing.assert_array_equal(val, ref_val)
-        np.testing.assert_array_equal(grad[..., :-1], ref_grad[..., :-1])
-        np.testing.assert_allclose(grad[..., -1], ref_grad[..., -1], rtol=1e-9, atol=0)
+    def test_73_day_grid_matches_reference(self):
+        grid = np.arange(1.0, 366.0, 5.0)
+        for rho in self.RHOS:
+            assert self.basis_error(grid, rho) <= self.tolerance(grid, rho), rho
 
     def test_365_day_grid_matches_reference(self):
         grid = np.arange(1.0, 366.0)
-        sqdist = (grid[:, None] - grid[None, :]) ** 2
-        rho = np.array(self.RHOS)
-        x_v = np.random.default_rng(23).standard_normal((rho.size, grid.size, 3))
-        lmn, g_lmn, d_rho = fpca_module._kernel_terms(sqdist, rho, x_v)
-        ref_lmn, ref_g, ref_d_rho = self.reference_terms(grid, [])(sqdist, rho, x_v)
-        np.testing.assert_array_equal(lmn, ref_lmn)
-        np.testing.assert_array_equal(g_lmn, ref_g)
-        np.testing.assert_allclose(d_rho, ref_d_rho, rtol=1e-8, atol=0)
+        for rho in self.RHOS:
+            assert self.basis_error(grid, rho) <= self.tolerance(grid, rho), rho
 
-    def test_no_explicit_inverse(self, monkeypatch):
-        # per state one dpotri for K^{-1}'s triangle, and solves with k columns only
+    def test_rank_rule(self):
+        # rho_lo is the prior's 1e-3 quantile: 17.7 at the default rho prior,
+        # where 79 frequencies cover the 73-day grid and 80 the 365-day grid
+        data, hyper, _ = TestTarget.make_73_day_grid()
+        basis = fpca_basis(data.grid, hyper)
+        assert basis.rho_lo == pytest.approx(17.675, abs=1e-3)
+        from scipy.stats import invgamma as ig
+
+        assert ig.cdf(basis.rho_lo, hyper.alpha, scale=hyper.beta) == pytest.approx(1e-3)
+        assert basis.m == 79
+        assert fpca_basis(np.arange(1.0, 366.0), hyper).m == 80
+
+    def test_rank_at_least_k_on_short_grid(self):
+        # 12 days need 3 frequencies at rho_lo; the rank stays at k = 5 all the same
+        rng = np.random.default_rng(22)
+        grid = np.arange(1.0, 13.0)
+        data = simulate_fpca(8, grid, 5, [9.0, 7.0, 5.0, 4.0, 3.0], 0.3, 0.2, 3.0, rng)
+        hyper = fpca_empirical_bayes(data.y, 5)
+        assert fpca_basis(grid, hyper).m == 5
+        assert fpca_basis(grid, fpca_empirical_bayes(data.y, 2)).m == 3
+
+    def test_no_factorisation(self, monkeypatch):
+        # one 2-row gradient: Phi products, elementwise terms and the thin SVDs
+        # of the polar factors; no Cholesky, LU, inverse or determinant
         data, hyper, _ = TestTarget.make_73_day_grid()
         target = fpca_target(data, hyper)
         theta = np.array(fpca_initial_points(data, hyper, 2, 4))
-        shapes = {"dpotrs": [], "dpotri": []}
+        import scipy.linalg
+        import scipy.linalg.lapack
 
-        def recording(name):
-            real = getattr(fpca_module, name)
-
-            def call(a, *args, **kwargs):
-                shapes[name].append(tuple(np.shape(args[0] if name == "dpotrs" else a)))
-                return real(a, *args, **kwargs)
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} called in the gradient")
 
             return call
 
-        for name in shapes:
-            monkeypatch.setattr(fpca_module, name, recording(name))
-        target.value_and_grad(theta)
-        assert shapes["dpotri"] == [(data.p, data.p)] * 2
-        assert shapes["dpotrs"] == [(data.p, hyper.k)] * 2
+        for name in ("cholesky", "solve", "inv", "pinv", "det", "slogdet", "lstsq", "eigh"):
+            monkeypatch.setattr(np.linalg, name, forbidden(f"np.linalg.{name}"))
+        for name in ("cholesky", "cho_factor", "cho_solve", "lu_factor", "solve", "inv"):
+            monkeypatch.setattr(scipy.linalg, name, forbidden(f"scipy.linalg.{name}"))
+        for name in ("dpotrf", "dpotrs", "dpotri", "dgetrf", "dgesv", "dposv"):
+            monkeypatch.setattr(scipy.linalg.lapack, name, forbidden(f"lapack.{name}"))
+        val, grad = target.value_and_grad(theta)
+        assert np.all(np.isfinite(val)) and np.all(np.isfinite(grad))
 
-    def test_cholesky_failure_is_a_divergence(self, monkeypatch):
-        # row 1's K(rho) fails to factor; the batched call raises, and leapfrog
-        # ends that row with a NaN value while row 0 runs as it would alone
-        data, hyper, rng = TestTarget.make_73_day_grid()
-        target = fpca_target(data, hyper)
-        x0 = np.array(fpca_initial_points(data, hyper, 2, 5))
-        x0[1, -1] = np.log(5.0)
-        _, g0 = target.value_and_grad(x0)
-        real = fpca_module.dpotrf
-
-        def failing(a, **kwargs):
-            # K_12 = exp(-25 / (2 rho^2)) is 0.98 at rho = 27.5 and 0.61 at rho = 5
-            return real(a if a[0, 1] > 0.9 else -a, **kwargs)
-
-        monkeypatch.setattr(fpca_module, "dpotrf", failing)
-        with pytest.raises(IllConditionedError):
-            target.value_and_grad(x0)
-        m0 = rng.standard_normal(x0.shape)
-        evals = np.zeros(2, dtype=int)
-        out = leapfrog(target, x0, m0, g0, 1e-4, 3, np.ones_like(x0), evals)
-        solo = leapfrog(target, x0[:1], m0[:1], g0[:1], 1e-4, 3, np.ones_like(x0[:1]))
-        assert np.isnan(out[2][1]) and np.isfinite(out[2][0])
-        # row 1: once in the failed batch, once on its own
-        assert evals.tolist() == [4, 2]
-        for got, want in zip(out, solo):
-            np.testing.assert_array_equal(got[:1], want)
+class TestRhoRecovery:
+    def test_two_chains_agree_on_the_true_rho(self):
+        # the centred prior left chains stuck near rho = 9-13 on year-long grids
+        # (R-hat alone misses two chains stuck at the same wrong rho); a truth
+        # below the prior mean of 29 must pull both chains down to it
+        rho_true = 23.0
+        rng = np.random.default_rng(3)
+        grid = np.arange(1.0, 366.0, 15.0)
+        data = simulate_fpca(10, grid, 2, [15.0, 10.0], 1.0, 0.3, rho_true, rng)
+        hyper = fpca_empirical_bayes(data.y, 2)
+        cfg = HmcConfig(chains=2, warmup=500, samples=1000, seed=3)
+        outs = run_chains(fpca_target(data, hyper), cfg,
+                          init=fpca_initial_points(data, hyper, cfg.chains, cfg.seed))
+        rho = np.exp(np.array([o.draws[:, -1] for o in outs]))
+        assert split_rhat(rho) <= 1.05
+        sd = np.std(rho, ddof=1)
+        for chain_mean in rho.mean(axis=1):
+            assert abs(chain_mean - rho_true) <= 3.0 * sd
 
 
 class TestBatch:

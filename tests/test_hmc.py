@@ -454,7 +454,7 @@ class TestBatch:
         assert outs[4].step_size == pytest.approx(outs[1].step_size, rel=1e-12)
 
     def test_chain_zero_does_not_depend_on_chain_count_fpca(self):
-        # 6 stations on 16 days: the kernel is factored per row, the rest batched
+        # 6 stations on 16 days: every state of a call evaluated in one batched pass
         rng = np.random.default_rng(22)
         data = simulate_fpca(6, np.linspace(1.0, 365.0, 16), 2, [5.0, 2.5], 0.5, 0.3, 29.0, rng)
         hyper = fpca_empirical_bayes(data.y, 2)
